@@ -22,6 +22,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import HalfEdgeGraph, canonical_form
+from .poly import SparseVector
 
 
 @dataclass(frozen=True)
@@ -79,52 +80,38 @@ def enumerate_chords(n_chords: int) -> tuple[ChordDiagram, ...]:
     return tuple(ChordDiagram.of(p) for p in rec(tuple(range(1, 2 * n_chords + 1))))
 
 
-class RawTensor:
-    """Sparse element of (V_n*)^(x 2N): words over {1..n} with rational coefficients."""
+class RawTensor(SparseVector):
+    """Sparse element of (V_n*)^(x 2N): words over {1..n} with rational coefficients.
 
-    __slots__ = ("dim", "length", "_terms")
+    Equality ignores ``dim``; a sum lives over the larger of the two dimensions.
+    """
+
+    __slots__ = ("dim", "length")
 
     def __init__(self, dim: int, length: int, terms: dict[tuple[int, ...], Fraction] | None = None):
         self.dim = dim
         self.length = length
-        self._terms = {w: v for w, v in (terms or {}).items() if v != 0}
+        super().__init__(terms)
 
-    def terms(self):
-        return iter(sorted(self._terms.items()))
+    def _meta(self) -> tuple:
+        return (self.dim, self.length)
+
+    def _space(self) -> tuple:
+        return (self.length,)
+
+    def _join(self, a: tuple, b: tuple) -> tuple:
+        if a[1] != b[1]:
+            raise LengthMismatch("cannot add raw tensors of different length")
+        return (max(a[0], b[0]), a[1])
 
     def coeff(self, word: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
-
-    def __add__(self, other: "RawTensor") -> "RawTensor":
-        if self.length != other.length:
-            raise LengthMismatch("cannot add raw tensors of different length")
-        out = dict(self._terms)
-        for w, v in other._terms.items():
-            out[w] = out.get(w, Fraction(0)) + v
-        return RawTensor(max(self.dim, other.dim), self.length, out)
-
-    def scale(self, c) -> "RawTensor":
-        c = Fraction(c)
-        return RawTensor(self.dim, self.length, {w: c * v for w, v in self._terms.items()})
 
     def restrict(self, n: int) -> "RawTensor":
         """Keep only words over {1..n}."""
         return RawTensor(
             n, self.length, {w: v for w, v in self._terms.items() if all(x <= n for x in w)}
         )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RawTensor)
-            and self.length == other.length
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.length, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"RawTensor(dim={self.dim}, len={self.length}, {len(self._terms)} words)"
 
 
 def beta(c: ChordDiagram, n: int) -> RawTensor:

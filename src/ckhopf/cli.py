@@ -17,9 +17,15 @@ from fractions import Fraction
 
 from . import hopf, insertion
 from .corpus import NAMED_BUILDERS, name_by_key, named_graph
-from .errors import CKHopfError
-from .graphs import HalfEdgeGraph, canonical_key, contract_subgraph, enumerate_graphs
-from .poly import GraphPoly, GraphTensorPoly, graph_from_key
+from .errors import CKHopfError, InvalidInput
+from .graphs import (
+    HalfEdgeGraph,
+    canonical_key,
+    contract_subgraph,
+    enumerate_graphs,
+    graph_from_key,
+)
+from .poly import GraphPoly, GraphTensorPoly
 from .serialize import (
     dumps,
     frac_to_str,
@@ -34,20 +40,26 @@ from .tensors import InvariantTensor, phi, psi, tensor_delta
 from .verify import run_suite, suite_names
 
 
+def _read_json(path: str):
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidInput(f"cannot read JSON from {path!r}: {exc}") from None
+
+
 def _load_graph(spec: str) -> HalfEdgeGraph:
     if spec in NAMED_BUILDERS:
         if os.path.exists(spec):
             print(f"warning: {spec!r} is both a corpus name and a file; using the corpus graph", file=sys.stderr)
         return named_graph(spec)
     if os.path.exists(spec):
-        with open(spec, "r", encoding="ascii") as fh:
-            return graph_from_doc(json.load(fh))
+        return graph_from_doc(_read_json(spec))
     raise CKHopfError(f"{spec!r} is neither a corpus name nor an existing file")
 
 
 def _load_tensor(spec: str) -> InvariantTensor:
-    with open(spec, "r", encoding="ascii") as fh:
-        return invariant_from_doc(json.load(fh))
+    return invariant_from_doc(_read_json(spec))
 
 
 def _graph_label(key: bytes) -> str:

@@ -5,6 +5,10 @@ class CKHopfError(Exception):
     """Base class for all errors raised by ckhopf."""
 
 
+class InvalidInput(CKHopfError):
+    """A JSON document or a setting does not have the expected shape or value."""
+
+
 class InvalidGraph(CKHopfError):
     """A raw graph description violates a structural invariant."""
 

@@ -13,12 +13,14 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from math import factorial
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DanglingHalfEdge,
     EmptySubgraph,
     ExternalNotUnivalent,
+    InvalidInput,
     NonPairEdge,
     NotInternalEdge,
     OverlappingPartition,
@@ -407,6 +409,8 @@ def to_json_dict(g: HalfEdgeGraph) -> dict:
 
 
 def from_json_dict(doc: dict) -> HalfEdgeGraph:
+    if not isinstance(doc, dict):
+        raise InvalidInput(f"a graph must be a JSON object, not {type(doc).__name__}")
     return validate(
         doc.get("half_edges", []),
         doc.get("edges", []),
@@ -424,17 +428,10 @@ def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int]:
     key = json.dumps(to_json_dict(canon), separators=(",", ":")).encode("ascii")
     aut = aut_mg
     for i in range(V):
-        aut *= 2 ** loops[i] * _factorial(loops[i])
+        aut *= 2 ** loops[i] * factorial(loops[i])
         for j in range(i + 1, V):
-            aut *= _factorial(mult[i][j])
+            aut *= factorial(mult[i][j])
     return key, canon, aut
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def canonical_form(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph]:
@@ -447,6 +444,7 @@ def canonical_key(g: HalfEdgeGraph) -> bytes:
     return _canonical(g)[0]
 
 
+@lru_cache(maxsize=None)
 def graph_from_key(key: bytes) -> HalfEdgeGraph:
     """Keys are self-describing: parse the canonical serialization back."""
     return from_json_dict(json.loads(key.decode("ascii")))
@@ -613,7 +611,10 @@ def is_connected(g: HalfEdgeGraph) -> bool:
 
 
 def default_budget() -> int:
-    return int(os.environ.get("CKHOPF_BUDGET", "5000000"))
+    raw = os.environ.get("CKHOPF_BUDGET", "5000000")
+    if not raw.strip().isdecimal():
+        raise InvalidInput(f"CKHOPF_BUDGET must be a non-negative integer, not {raw!r}")
+    return int(raw)
 
 
 class _Budget:

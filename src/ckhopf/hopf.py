@@ -30,11 +30,12 @@ from .graphs import (
 from .poly import (
     EMPTY_KEY,
     GraphPoly,
-    GraphTensor3,
     GraphTensorPoly,
     Scalar,
+    SparseVector,
     _frac,
     graph_from_key,
+    linear_combination,
     product,
 )
 from . import insertion
@@ -80,58 +81,57 @@ def _coproduct_graph(key: bytes, full: bool) -> GraphTensorPoly:
 
 
 def coproduct(p: GraphPoly, full_subgraph_term: bool = False) -> GraphTensorPoly:
-    out = GraphTensorPoly.zero()
-    for key, c in p.terms():
-        out = out + _coproduct_graph(key, full_subgraph_term).scale(c)
-    return out
+    return linear_combination(
+        ((_coproduct_graph(key, full_subgraph_term), c) for key, c in p.terms()),
+        GraphTensorPoly(),
+    )
 
 
-def coproduct_on_left(t: GraphTensorPoly, full_subgraph_term: bool = False) -> GraphTensor3:
+def coproduct_on_left(t: GraphTensorPoly, full_subgraph_term: bool = False) -> SparseVector:
     """(coproduct (x) id) applied to an element of H (x) H."""
     out: dict[tuple[bytes, bytes, bytes], Fraction] = {}
     for (k1, k2), c in t.terms():
         for (a, b), c2 in _coproduct_graph(k1, full_subgraph_term).terms():
             key = (a, b, k2)
             out[key] = out.get(key, Fraction(0)) + c * c2
-    return GraphTensor3(out)
+    return SparseVector(out)
 
 
-def coproduct_on_right(t: GraphTensorPoly, full_subgraph_term: bool = False) -> GraphTensor3:
+def coproduct_on_right(t: GraphTensorPoly, full_subgraph_term: bool = False) -> SparseVector:
     """(id (x) coproduct) applied to an element of H (x) H."""
     out: dict[tuple[bytes, bytes, bytes], Fraction] = {}
     for (k1, k2), c in t.terms():
         for (a, b), c2 in _coproduct_graph(k2, full_subgraph_term).terms():
             key = (k1, a, b)
             out[key] = out.get(key, Fraction(0)) + c * c2
-    return GraphTensor3(out)
+    return SparseVector(out)
 
 
 @lru_cache(maxsize=None)
 def _antipode_connected(key: bytes) -> GraphPoly:
     """S(G) = -G - sum S(extract(gamma)) * (G/gamma), recursing on internal edges."""
     g = graph_from_key(key)
-    out = GraphPoly({key: Fraction(-1)})
+    summands = [(GraphPoly({key: Fraction(1)}), -1)]
     internal = g.internal_edges()
     for r in range(1, len(internal)):
         for gamma in itertools.combinations(internal, r):
             left = antipode(GraphPoly.from_graph(extract_subgraph(g, gamma)))
             right = GraphPoly.from_graph(contract_subgraph(g, gamma))
-            out = out - product(left, right)
-    return out
+            summands.append((product(left, right), -1))
+    return linear_combination(summands, GraphPoly())
+
+
+def _antipode_graph(key: bytes) -> GraphPoly:
+    """S of one basis graph: the product of S over its connected components."""
+    factor = unit(1)
+    for comp in connected_components(graph_from_key(key)):
+        factor = product(factor, _antipode_connected(canonical_key(comp)))
+    return factor
 
 
 def antipode(p: GraphPoly) -> GraphPoly:
     """Antipode for the default subgraph range, extended multiplicatively."""
-    out = GraphPoly.zero()
-    for key, c in p.terms():
-        if key == EMPTY_KEY:
-            out = out + unit(c)
-            continue
-        factor = unit(1)
-        for comp in connected_components(graph_from_key(key)):
-            factor = product(factor, _antipode_connected(canonical_key(comp)))
-        out = out + factor.scale(c)
-    return out
+    return linear_combination(((_antipode_graph(key), c) for key, c in p.terms()), GraphPoly())
 
 
 def pairing(p: GraphPoly, q: GraphPoly) -> Fraction:
@@ -237,10 +237,9 @@ def star_product(a: GraphPoly, b: GraphPoly, edge_bound: int | None = None) -> G
         raise WindowTooSmall(
             f"edge bound {edge_bound} is below the required total degree {needed}"
         )
-    out = GraphPoly.zero()
-    for ka, ca, kb, cb in pairs:
-        out = out + _star_basis(ka, kb).scale(ca * cb)
-    return out
+    return linear_combination(
+        ((_star_basis(ka, kb), ca * cb) for ka, ca, kb, cb in pairs), GraphPoly()
+    )
 
 
 def lie_bracket(a: GraphPoly, b: GraphPoly) -> GraphPoly:

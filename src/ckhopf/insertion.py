@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .errors import NotInternalVertex, ValencyMismatch
 from .graphs import HalfEdgeGraph, canonical_key
-from .poly import GraphPoly, graph_from_key
+from .poly import GraphPoly, graph_from_key, linear_combination
 
 
 def insert_at(
@@ -114,11 +114,10 @@ def _insertion_basis(k1: bytes, k2: bytes) -> GraphPoly:
 
 def insertion_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
     """Bilinear extension of the insertion sum; valency mismatches give zero."""
-    out = GraphPoly.zero()
-    for k1, c1 in a.terms():
-        for k2, c2 in b.terms():
-            out = out + _insertion_basis(k1, k2).scale(c1 * c2)
-    return out
+    return linear_combination(
+        ((_insertion_basis(k1, k2), c1 * c2) for k1, c1 in a.terms() for k2, c2 in b.terms()),
+        GraphPoly(),
+    )
 
 
 def associator(a: GraphPoly, b: GraphPoly, c: GraphPoly) -> GraphPoly:

@@ -2,18 +2,25 @@
 
 Rationals are written as "p/q" strings; no floating point appears anywhere.
 Serialization is canonical: lists sorted, no whitespace, so equal values give
-equal bytes.
+equal bytes.  Reading is strict: a malformed document raises ``InvalidInput``.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .chords import RawTensor
-from .graphs import HalfEdgeGraph, from_json_dict, to_json_dict
-from .poly import GraphPoly, GraphTensorPoly
+from .errors import InvalidInput
+from .graphs import from_json_dict, to_json_dict
+from .poly import GraphPoly, GraphTensorPoly, linear_combination
 from .tensors import InvariantTensor
+
+graph_to_doc = to_json_dict
+graph_from_doc = from_json_dict
+
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
 def frac_to_str(x: Fraction) -> str:
@@ -21,21 +28,16 @@ def frac_to_str(x: Fraction) -> str:
 
 
 def frac_from_str(s) -> Fraction:
-    if isinstance(s, int):
+    """An integer or a "p/q" string; floats, bools and anything else are rejected."""
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
+    if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
+        raise InvalidInput(f"coefficient {s!r} is not an integer or a 'p/q' string")
     return Fraction(s)
 
 
 def dumps(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
-
-
-def graph_to_doc(g: HalfEdgeGraph) -> dict:
-    return to_json_dict(g)
-
-
-def graph_from_doc(doc: dict) -> HalfEdgeGraph:
-    return from_json_dict(doc)
 
 
 def poly_to_doc(p: GraphPoly) -> list:
@@ -46,11 +48,11 @@ def poly_to_doc(p: GraphPoly) -> list:
 
 
 def poly_from_doc(doc: list) -> GraphPoly:
-    out = GraphPoly.zero()
-    for item in doc:
-        g = graph_from_doc(item["graph"])
-        out = out + GraphPoly.from_graph(g, frac_from_str(item["coefficient"]))
-    return out
+    terms = [
+        (GraphPoly.from_graph(graph_from_doc(item["graph"])), frac_from_str(item["coefficient"]))
+        for item in doc
+    ]
+    return linear_combination(terms, GraphPoly())
 
 
 def tensor_poly_to_doc(t: GraphTensorPoly) -> list:
@@ -66,12 +68,11 @@ def tensor_poly_to_doc(t: GraphTensorPoly) -> list:
 
 
 def tensor_poly_from_doc(doc: list) -> GraphTensorPoly:
-    out = GraphTensorPoly.zero()
+    terms = []
     for item in doc:
-        g1 = graph_from_doc(item["graphs"][0])
-        g2 = graph_from_doc(item["graphs"][1])
-        out = out + GraphTensorPoly.of(g1, g2, frac_from_str(item["coefficient"]))
-    return out
+        g1, g2 = graph_from_doc(item["graphs"][0]), graph_from_doc(item["graphs"][1])
+        terms.append((GraphTensorPoly.of(g1, g2), frac_from_str(item["coefficient"])))
+    return linear_combination(terms, GraphTensorPoly())
 
 
 def invariant_to_doc(t: InvariantTensor) -> dict:
@@ -87,14 +88,33 @@ def invariant_to_doc(t: InvariantTensor) -> dict:
     return {"dimension": t.dim, "terms": terms}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _indices(xs, dim: int) -> tuple[int, ...]:
+    if not isinstance(xs, list) or not all(_is_int(x) and 1 <= x <= dim for x in xs):
+        raise InvalidInput(f"{xs!r} is not a list of indices in 1..{dim}")
+    return tuple(sorted(xs))
+
+
 def invariant_from_doc(doc: dict) -> InvariantTensor:
+    dim = doc.get("dimension") if isinstance(doc, dict) else None
+    if not _is_int(dim) or dim < 0 or not isinstance(doc.get("terms"), list):
+        raise InvalidInput(
+            'an invariant tensor is {"dimension": <integer >= 0>, "terms": [...]}'
+        )
     terms = {}
     for item in doc["terms"]:
-        blocks = tuple(sorted(tuple(sorted(b)) for b in item["blocks"]))
-        ext = tuple(sorted(item["external"]))
+        if not isinstance(item, dict) or not isinstance(item.get("blocks"), list):
+            raise InvalidInput(f"tensor term {item!r} has no list of blocks")
+        blocks = tuple(sorted(_indices(b, dim) for b in item["blocks"]))
+        if () in blocks:
+            raise InvalidInput(f"tensor term {item!r} has an empty block")
+        ext = _indices(item.get("external"), dim)
         key = (blocks, ext)
-        terms[key] = terms.get(key, Fraction(0)) + frac_from_str(item["coeff"])
-    return InvariantTensor(doc["dimension"], terms)
+        terms[key] = terms.get(key, Fraction(0)) + frac_from_str(item.get("coeff"))
+    return InvariantTensor(dim, terms)
 
 
 def raw_tensor_to_doc(t: RawTensor) -> dict:

@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product as iproduct
+from math import factorial
 from typing import Iterable, Sequence
 
 from .chords import (
@@ -34,7 +35,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import HalfEdgeGraph
-from .poly import GraphPoly
+from .poly import GraphPoly, SparseVector, linear_combination
 
 Blocks = tuple[tuple[int, ...], ...]
 Mono = tuple[int, ...]
@@ -46,62 +47,24 @@ def _norm_term(blocks: Iterable[Sequence[int]], external: Sequence[int]) -> Term
     return bs, tuple(sorted(external))
 
 
-class InvariantTensor:
+class InvariantTensor(SparseVector):
     """Sparse rational combination of block-monomial terms over dimension n."""
 
-    __slots__ = ("dim", "_terms")
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int, terms: dict[Term, Fraction] | None = None):
         self.dim = dim
-        self._terms = {t: v for t, v in (terms or {}).items() if v != 0}
+        super().__init__(terms)
+
+    def _meta(self) -> tuple:
+        return (self.dim,)
 
     @classmethod
     def unit(cls, dim: int) -> "InvariantTensor":
         return cls(dim, {((), ()): Fraction(1)})
 
-    @classmethod
-    def zero(cls, dim: int) -> "InvariantTensor":
-        return cls(dim, {})
-
-    def terms(self):
-        return iter(sorted(self._terms.items()))
-
     def coeff(self, blocks: Iterable[Sequence[int]], external: Sequence[int]) -> Fraction:
         return self._terms.get(_norm_term(blocks, external), Fraction(0))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __add__(self, other: "InvariantTensor") -> "InvariantTensor":
-        if self.dim != other.dim:
-            raise DimensionMismatch("cannot add tensors over different dimensions")
-        out = dict(self._terms)
-        for t, v in other._terms.items():
-            out[t] = out.get(t, Fraction(0)) + v
-        return InvariantTensor(self.dim, out)
-
-    def __sub__(self, other: "InvariantTensor") -> "InvariantTensor":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "InvariantTensor":
-        c = Fraction(c)
-        return InvariantTensor(self.dim, {t: c * v for t, v in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, InvariantTensor)
-            and self.dim == other.dim
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim, frozenset(self._terms.items())))
-
-    def __repr__(self) -> str:
-        return f"InvariantTensor(dim={self.dim}, {len(self._terms)} terms)"
 
     def bigrades(self) -> set[tuple[int, int]]:
         """Set of (N, k) with 2N the total degree and k the external degree."""
@@ -158,10 +121,7 @@ def phi(g: HalfEdgeGraph, n: int) -> InvariantTensor:
 
 
 def phi_poly(p: GraphPoly, n: int) -> InvariantTensor:
-    out = InvariantTensor.zero(n)
-    for g, c in p.graphs():
-        out = out + phi(g, n).scale(c)
-    return out
+    return linear_combination(((phi(g, n), c) for g, c in p.graphs()), InvariantTensor(n))
 
 
 def tensor_mul(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
@@ -176,54 +136,18 @@ def tensor_mul(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
     return InvariantTensor(t1.dim, out)
 
 
-class PairTensor:
+class PairTensor(SparseVector):
     """Element of (tensors over m) (x) (tensors over n), for the coproduct."""
 
-    __slots__ = ("dim_left", "dim_right", "_terms")
+    __slots__ = ("dim_left", "dim_right")
 
     def __init__(self, dim_left: int, dim_right: int, terms=None):
         self.dim_left = dim_left
         self.dim_right = dim_right
-        self._terms = {t: v for t, v in (terms or {}).items() if v != 0}
+        super().__init__(terms)
 
-    @classmethod
-    def outer(cls, t1: InvariantTensor, t2: InvariantTensor) -> "PairTensor":
-        out = {}
-        for k1, c1 in t1._terms.items():
-            for k2, c2 in t2._terms.items():
-                out[(k1, k2)] = c1 * c2
-        return cls(t1.dim, t2.dim, out)
-
-    def __add__(self, other: "PairTensor") -> "PairTensor":
-        if (self.dim_left, self.dim_right) != (other.dim_left, other.dim_right):
-            raise DimensionMismatch("pair tensors over different dimensions")
-        out = dict(self._terms)
-        for t, v in other._terms.items():
-            out[t] = out.get(t, Fraction(0)) + v
-        return PairTensor(self.dim_left, self.dim_right, out)
-
-    def __sub__(self, other: "PairTensor") -> "PairTensor":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "PairTensor":
-        c = Fraction(c)
-        return PairTensor(self.dim_left, self.dim_right, {t: c * v for t, v in self._terms.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PairTensor)
-            and (self.dim_left, self.dim_right) == (other.dim_left, other.dim_right)
-            and self._terms == other._terms
-        )
-
-    def __hash__(self):
-        return hash((self.dim_left, self.dim_right, frozenset(self._terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def terms(self):
-        return iter(sorted(self._terms.items()))
+    def _meta(self) -> tuple:
+        return (self.dim_left, self.dim_right)
 
     def left_counit(self) -> InvariantTensor:
         """Collapse the left leg: keep terms whose left factor is the unit."""
@@ -239,9 +163,6 @@ class PairTensor:
             if tr == ((), ()):
                 out[tl] = out.get(tl, Fraction(0)) + v
         return InvariantTensor(self.dim_left, out)
-
-    def __repr__(self) -> str:
-        return f"PairTensor(dims=({self.dim_left},{self.dim_right}), {len(self._terms)} terms)"
 
 
 def _subsets(seq: Sequence) -> Iterable[tuple[tuple, tuple]]:
@@ -283,15 +204,8 @@ def _match_count(block: Mono, ext: Mono) -> int:
         return 0
     count = 1
     for x in set(block):
-        count *= _factorial(block.count(x))
+        count *= factorial(block.count(x))
     return count
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def tensor_prelie(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
@@ -374,10 +288,10 @@ def _invariant_lift(terms: list[tuple[Blocks, Mono, Fraction]], sizes: tuple[int
             size_groups.append([i])
     group_size = 1
     for grp in size_groups:
-        group_size *= _factorial(len(grp))
-    within = group_size * _factorial(k0)
+        group_size *= factorial(len(grp))
+    within = group_size * factorial(k0)
     for s in sizes:
-        within *= _factorial(s)
+        within *= factorial(s)
     inv_order = Fraction(1, within)
 
     words: dict[tuple[int, ...], Fraction] = {}
@@ -420,13 +334,13 @@ def psi(t: InvariantTensor, n: int | None = None) -> GraphPoly:
         sizes = tuple(sorted(len(b) for b in blocks))
         groups.setdefault(sizes, []).append((blocks, ext, c))
 
-    out = GraphPoly.zero()
     diagrams = enumerate_chords(N)
+    summands = []
     for sizes, terms in sorted(groups.items()):
         shape = BlockShape(sizes, len(terms[0][1]))
         lift = _invariant_lift(terms, sizes, t.dim)
         for c in diagrams:
             value = pair_raw(lift, z_coinv(c, n))
             if value:
-                out = out + GraphPoly.from_graph(graph_from_chord(shape, c), value)
-    return out
+                summands.append((GraphPoly.from_graph(graph_from_chord(shape, c)), value))
+    return linear_combination(summands, GraphPoly())

@@ -111,3 +111,37 @@ def test_json_output_byte_stable(capsys):
     _, out3 = run(capsys, "coproduct", "bubble", "--format", "json")
     _, out4 = run(capsys, "coproduct", "bubble", "--format", "json")
     assert out3 == out4
+
+
+@pytest.mark.parametrize(
+    "content",
+    ["[1, 2]", '{"half_edges": [0, 1], "edges": [[0, 1]', "\xff", '"graph"'],
+)
+def test_aut_malformed_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "g.json"
+    path.write_bytes(content.encode("latin-1"))
+    assert main(["aut", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[1, 9]], "external": []}]},
+        {"dimension": 2, "terms": [{"coeff": 0.1, "blocks": [[1, 1]], "external": []}]},
+        {"dimension": "2", "terms": []},
+    ],
+)
+@pytest.mark.parametrize("command", [["psi"], ["delta", "--m", "1", "--n", "1"]])
+def test_tensor_malformed_file_exits_2(tmp_path, capsys, doc, command):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    assert main([command[0], str(path)] + command[1:]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_tensor_missing_or_truncated_file_exits_2(tmp_path, capsys):
+    assert main(["psi", str(tmp_path / "missing.json")]) == 2
+    path = tmp_path / "t.json"
+    path.write_text('{"dimension": 2, "terms": [')
+    assert main(["psi", str(path)]) == 2

@@ -1,0 +1,55 @@
+"""CLI JSON outputs pinned byte for byte.
+
+Each file under ``golden/`` is the ``--format json`` output of one command, as
+printed before the sparse-vector classes were merged into one type.  Comparing
+two runs in one process cannot catch a change of bytes from one version to the
+next; these files can.  A change that alters any of them changes a published
+result and must say so.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from ckhopf import hopf
+from ckhopf.cli import main
+from ckhopf.poly import GraphPoly
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "coproduct_bubble.json": ["coproduct", "bubble"],
+    "antipode_bubble.json": ["antipode", "bubble"],
+    "insert_loop1_twoleg.json": ["insert", "loop1", "twoleg"],
+    "star_twoleg_loop1.json": ["star", "twoleg", "loop1"],
+    "phi_bubble_3.json": ["phi", "bubble", "--dim", "3"],
+    "phi_bubble_4.json": ["phi", "bubble", "--dim", "4"],
+    "psi_phi_bubble_3.json": ["psi", str(GOLDEN / "phi_bubble_3.json")],
+    "delta_bubble_2_2.json": ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "2", "--n", "2"],
+}
+
+VERIFY_GRADING_SHA256 = "ec5cda02de527676360ee9a0c83d6260a40981f78ed3bfb51930c6d706f0faa9"
+
+
+def json_output(capsys, argv):
+    assert main(argv + ["--format", "json"]) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_json_matches_golden(capsys, name):
+    assert json_output(capsys, CASES[name]) == (GOLDEN / name).read_text(encoding="ascii")
+
+
+def test_verify_grading_digest(capsys):
+    out = json_output(capsys, ["verify", "--suite", "grading", "--max-edges", "3"])
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_GRADING_SHA256
+
+
+def test_cached_coproduct_not_mutated(bubble):
+    p = GraphPoly.from_graph(bubble)
+    before = list(hopf.coproduct(p).terms())
+    doubled = hopf.coproduct(p + p)
+    assert list(hopf.coproduct(p).terms()) == before
+    assert doubled == hopf.coproduct(p).scale(2)

@@ -387,3 +387,13 @@ def test_budget_env_var(monkeypatch):
         enumerate_graphs(3, "all")
     monkeypatch.delenv("CKHOPF_BUDGET")
     assert len(enumerate_graphs(3, "all")) == 69
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "1.5", ""])
+def test_budget_env_var_malformed(monkeypatch, value):
+    from ckhopf.errors import InvalidInput
+    from ckhopf.graphs import default_budget
+
+    monkeypatch.setenv("CKHOPF_BUDGET", value)
+    with pytest.raises(InvalidInput):
+        default_budget()

@@ -1,0 +1,71 @@
+from fractions import Fraction
+
+import pytest
+
+from ckhopf.chords import RawTensor
+from ckhopf.errors import DimensionMismatch, LengthMismatch
+from ckhopf.poly import GraphPoly, GraphTensorPoly, SparseVector, linear_combination
+from ckhopf.tensors import InvariantTensor, PairTensor
+
+
+def test_poly_name_is_the_module():
+    import ckhopf
+    from ckhopf import poly
+
+    assert poly.__name__ == "ckhopf.poly"
+    assert ckhopf.poly is poly
+    assert callable(poly.poly)
+
+
+def test_zero_terms_dropped_and_sorted():
+    v = SparseVector({"b": Fraction(2), "a": Fraction(1), "c": Fraction(0)})
+    assert list(v.terms()) == [("a", 1), ("b", 2)]
+    assert len(v) == 2
+    assert (v - v).is_zero()
+    assert -v == v.scale(-1) == -1 * v
+
+
+def test_equality_needs_same_type_and_space():
+    terms = {b"k": Fraction(1)}
+    assert GraphPoly(terms) != GraphTensorPoly(terms)
+    assert GraphPoly(terms) == GraphPoly(terms)
+    assert hash(GraphPoly(terms)) == hash(GraphPoly(dict(terms)))
+    assert InvariantTensor(2, terms) != InvariantTensor(3, terms)
+    assert PairTensor(1, 2, terms) != PairTensor(2, 1, terms)
+
+
+def test_raw_tensor_equality_ignores_dim():
+    a = RawTensor(2, 2, {(1, 1): Fraction(1)})
+    b = RawTensor(5, 2, {(1, 1): Fraction(1)})
+    assert a == b and hash(a) == hash(b)
+    assert (a + b).dim == 5
+    assert a != RawTensor(2, 4, {(1, 1, 1, 1): Fraction(1)})
+
+
+def test_mismatched_metadata_raises():
+    with pytest.raises(LengthMismatch):
+        RawTensor(2, 2) + RawTensor(2, 4)
+    with pytest.raises(DimensionMismatch):
+        InvariantTensor.unit(2) + InvariantTensor.unit(3)
+    with pytest.raises(DimensionMismatch):
+        PairTensor(1, 1) - PairTensor(1, 2)
+    with pytest.raises(DimensionMismatch):
+        linear_combination([(InvariantTensor.unit(3), 1)], InvariantTensor(2))
+
+
+def test_outer_concatenates_metadata():
+    t = PairTensor.outer(InvariantTensor.unit(2), InvariantTensor.unit(3))
+    assert (t.dim_left, t.dim_right) == (2, 3)
+    assert list(t.terms()) == [((((), ()), ((), ())), 1)]
+    p = GraphTensorPoly.outer(GraphPoly({b"a": Fraction(2)}), GraphPoly({b"b": Fraction(3)}))
+    assert p == GraphTensorPoly({(b"a", b"b"): Fraction(6)})
+
+
+def test_linear_combination_leaves_inputs_alone():
+    a = GraphPoly({b"x": Fraction(1), b"y": Fraction(2)})
+    b = GraphPoly({b"y": Fraction(-1)})
+    total = linear_combination([(a, 1), (b, 3), (a, Fraction(1, 2))], GraphPoly())
+    assert total == GraphPoly({b"x": Fraction(3, 2)})
+    assert a == GraphPoly({b"x": Fraction(1), b"y": Fraction(2)})
+    assert b == GraphPoly({b"y": Fraction(-1)})
+    assert linear_combination([], InvariantTensor(4)) == InvariantTensor.zero(4)

@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from ckhopf import hopf
 from ckhopf.corpus import default_corpus, named_graph
+from ckhopf.errors import InvalidInput
 from ckhopf.graphs import canonical_form, canonical_key, graph_from_key
 from ckhopf.poly import GraphPoly, poly
 from ckhopf.serialize import (
@@ -69,3 +72,36 @@ def test_invariant_round_trip():
         doc = invariant_to_doc(t)
         assert invariant_from_doc(doc) == t
         assert dumps(doc) == dumps(invariant_to_doc(invariant_from_doc(doc)))
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, None, "0.1", "1/0", "x", [1]])
+def test_frac_from_str_rejects_non_rationals(bad):
+    with pytest.raises(InvalidInput):
+        frac_from_str(bad)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"dimension": "2", "terms": []},
+        {"dimension": 2.0, "terms": []},
+        {"dimension": 2},
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[1, 9]], "external": []}]},
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[0, 1]], "external": []}]},
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[1, 1.5]], "external": []}]},
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[1, 1]], "external": [3]}]},
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[]], "external": [1, 1]}]},
+        {"dimension": 2, "terms": [{"coeff": 0.5, "blocks": [[1, 1]], "external": []}]},
+        {"dimension": 2, "terms": ["x"]},
+    ],
+)
+def test_invariant_from_doc_rejects_malformed(doc):
+    with pytest.raises(InvalidInput):
+        invariant_from_doc(doc)
+
+
+@pytest.mark.parametrize("doc", [[1, 2], "graph", 3, None])
+def test_graph_from_doc_rejects_non_object(doc):
+    with pytest.raises(InvalidInput):
+        graph_from_doc(doc)

@@ -43,3 +43,25 @@ def test_failed_check_carries_counterexample():
     for c in rep.checks:
         if not c.passed:
             assert c.counterexample is not None or c.details
+
+
+def test_unexpected_exception_fails_only_its_check(monkeypatch):
+    from ckhopf import verify
+
+    def broken(graphs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(verify, "_check_counit", broken)
+    rep = run_suite("hopf", max_edges=1)
+    by_name = {c.name: c for c in rep.checks}
+    assert list(by_name) == [
+        "coassociativity",
+        "coproduct-algebra-map",
+        "counit-axiom",
+        "antipode-axiom",
+        "pairing-orthogonality",
+    ]
+    assert by_name["counit-axiom"].details == "error: RuntimeError: boom"
+    assert not by_name["counit-axiom"].passed
+    assert all(c.passed for name, c in by_name.items() if name != "counit-axiom")
+    assert not rep.passed
