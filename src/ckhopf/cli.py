@@ -121,14 +121,20 @@ def _emit(text: str, out: str | None):
 
 
 def _parse_edges(spec: str) -> list[tuple[int, int]]:
+    """Read "0-1,2-3" or a JSON list of pairs; anything else is InvalidInput."""
     spec = spec.strip()
-    if spec.startswith("["):
-        return [tuple(e) for e in json.loads(spec)]
-    out = []
-    for chunk in spec.split(","):
-        a, b = chunk.split("-")
-        out.append((int(a), int(b)))
-    return out
+    malformed = InvalidInput(f"--edges must be pairs like '0-1,2-3' or '[[0,1],[2,3]]', not {spec!r}")
+    try:
+        if spec.startswith("["):
+            pairs = [tuple(e) for e in json.loads(spec)]
+        else:
+            pairs = [tuple(int(h) for h in chunk.split("-")) for chunk in spec.split(",")]
+    except (ValueError, TypeError):
+        raise malformed from None
+    for p in pairs:
+        if len(p) != 2 or not all(isinstance(h, int) and not isinstance(h, bool) for h in p):
+            raise malformed
+    return pairs
 
 
 def _build_parser() -> argparse.ArgumentParser:

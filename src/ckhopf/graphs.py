@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
     DanglingHalfEdge,
@@ -155,11 +155,11 @@ def validate(
         missing = label_set - seen
         raise DanglingHalfEdge(f"half-edges {sorted(missing, key=repr)!r} occur in no edge")
 
+    vertex_list = [tuple(v) for v in vertices]
     seen_v: set[object] = set()
     norm_vertices = []
     n_empty = 0
-    for v in vertices:
-        part = tuple(v)
+    for part in vertex_list:
         for h in part:
             if h not in label_set:
                 raise OverlappingPartition(f"vertex {part!r} references unknown half-edge {h!r}")
@@ -173,12 +173,11 @@ def validate(
         missing = label_set - seen_v
         raise DanglingHalfEdge(f"half-edges {sorted(missing, key=repr)!r} occur in no vertex")
 
-    vertex_list = list(vertices)
     external_h: list[int] = []
     for idx in external_vertices:
         if not 0 <= idx < len(vertex_list):
             raise ExternalNotUnivalent(f"external vertex index {idx} out of range")
-        part = tuple(vertex_list[idx])
+        part = vertex_list[idx]
         if len(part) != 1:
             raise ExternalNotUnivalent(f"external vertex {part!r} has valency {len(part)}")
         external_h.append(order[part[0]])
@@ -408,14 +407,39 @@ def to_json_dict(g: HalfEdgeGraph) -> dict:
     }
 
 
+def _is_label(h: object) -> bool:
+    return isinstance(h, (int, str)) and not isinstance(h, bool)
+
+
+def _is_label_list(part: object) -> bool:
+    return isinstance(part, list) and all(map(_is_label, part))
+
+
+def _is_index(i: object) -> bool:
+    return isinstance(i, int) and not isinstance(i, bool)
+
+
 def from_json_dict(doc: dict) -> HalfEdgeGraph:
+    """Read the graph file format; each field present must be a list of the
+    right kind of item, else :class:`InvalidInput`."""
     if not isinstance(doc, dict):
         raise InvalidInput(f"a graph must be a JSON object, not {type(doc).__name__}")
+
+    def field(name: str, item_ok, items: str) -> list:
+        value = doc.get(name, [])
+        if not isinstance(value, list):
+            raise InvalidInput(f"graph field {name!r} must be a list, not {type(value).__name__}")
+        for item in value:
+            if not item_ok(item):
+                raise InvalidInput(f"graph field {name!r} must hold {items}, not {item!r}")
+        return value
+
+    labels = "half-edge labels (integers or strings)"
     return validate(
-        doc.get("half_edges", []),
-        doc.get("edges", []),
-        doc.get("vertices", []),
-        doc.get("external", []),
+        field("half_edges", _is_label, labels),
+        field("edges", _is_label_list, "lists of " + labels),
+        field("vertices", _is_label_list, "lists of " + labels),
+        field("external", _is_index, "vertex indices (integers)"),
     )
 
 
@@ -627,21 +651,35 @@ class _Budget:
         if self.used > self.limit:
             raise ResourceBound(f"enumeration exceeded budget of {self.limit} steps")
 
+    def memo(self, cache: dict, key, compute: Callable[[], list]) -> list:
+        """``cache[key]``, computed on a miss; a hit charges the steps the
+        computation cost, so the charge does not depend on what ran before."""
+        if key in cache:
+            value, cost = cache[key]
+            self.spend(cost)
+            return value
+        start = self.used
+        value = compute()
+        cache[key] = (value, self.used - start)
+        return value
 
-_CORES: dict[int, list[HalfEdgeGraph]] = {}
+
+# Each enumeration cache maps its arguments to (classes, steps they cost).
+_CORES: dict[int, tuple[list[HalfEdgeGraph], int]] = {}
 
 
 def _connected_cores(m: int, budget: _Budget) -> list[HalfEdgeGraph]:
     """Connected graphs of grade (m, m, 0): internal structure only, min valency 1."""
-    if m in _CORES:
-        return _CORES[m]
     if m == 0:
         return []
+    return budget.memo(_CORES, m, lambda: _augment_cores(m, budget))
+
+
+def _augment_cores(m: int, budget: _Budget) -> list[HalfEdgeGraph]:
     if m == 1:
         loop = graph(edges=[(0, 1)], vertices=[(0, 1)])
         segment = graph(edges=[(0, 1)], vertices=[(0,), (1,)])
-        _CORES[1] = sorted({canonical_key(g): g for g in (loop, segment)}.values(), key=canonical_key)
-        return _CORES[1]
+        return sorted({canonical_key(g): g for g in (loop, segment)}.values(), key=canonical_key)
     out: dict[bytes, HalfEdgeGraph] = {}
     for core in _connected_cores(m - 1, budget):
         n_h = core.n_half_edges
@@ -673,11 +711,10 @@ def _connected_cores(m: int, budget: _Budget) -> list[HalfEdgeGraph]:
             )
             key, canon = canonical_form(cand)
             out.setdefault(key, canon)
-    _CORES[m] = sorted(out.values(), key=canonical_key)
-    return _CORES[m]
+    return sorted(out.values(), key=canonical_key)
 
 
-_WITH_LEGS: dict[tuple[int, int], list[HalfEdgeGraph]] = {}
+_WITH_LEGS: dict[tuple[int, int], tuple[list[HalfEdgeGraph], int]] = {}
 
 
 def _attach_legs(core: HalfEdgeGraph, dist: Sequence[int]) -> HalfEdgeGraph:
@@ -704,8 +741,10 @@ def _attach_legs(core: HalfEdgeGraph, dist: Sequence[int]) -> HalfEdgeGraph:
 
 def _connected_with_legs(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
     """Connected classes of grade (m + k, m, k) for m >= 1."""
-    if (m, k) in _WITH_LEGS:
-        return _WITH_LEGS[(m, k)]
+    return budget.memo(_WITH_LEGS, (m, k), lambda: _attach_all_legs(m, k, budget))
+
+
+def _attach_all_legs(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
     out: dict[bytes, HalfEdgeGraph] = {}
     for core in _connected_cores(m, budget):
         V = len(core.vertices)
@@ -714,8 +753,7 @@ def _connected_with_legs(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]
             cand = _attach_legs(core, dist)
             key, canon = canonical_form(cand)
             out.setdefault(key, canon)
-    _WITH_LEGS[(m, k)] = sorted(out.values(), key=canonical_key)
-    return _WITH_LEGS[(m, k)]
+    return sorted(out.values(), key=canonical_key)
 
 
 def _compositions_of(k: int, parts: int):
@@ -784,26 +822,27 @@ def enumerate_graphs(
     return _multisets(pieces, n_edges, lambda g: len(g.edges), b)
 
 
-_GRADE_CACHE: dict[tuple[int, int, int], list[HalfEdgeGraph]] = {}
+_GRADE_CACHE: dict[tuple[int, int, int], tuple[list[HalfEdgeGraph], int]] = {}
 
 
 def enumerate_by_grade(
     n: int, m: int, k: int, budget: int | None = None
 ) -> list[HalfEdgeGraph]:
     """All classes (connected or not, no empty vertices) of exact grade (n, m, k)."""
-    if (n, m, k) in _GRADE_CACHE:
-        return _GRADE_CACHE[(n, m, k)]
     b = _Budget(budget)
-    pieces: list[HalfEdgeGraph] = []
-    for j in range(1, n + 1):
-        pieces.extend(connected_classes(j, plus=False, budget=b))
-    out = []
-    for g in _multisets(pieces, n, lambda g: len(g.edges), b):
-        gr = g.grade()
-        if gr.m == m and gr.k == k:
-            out.append(g)
-    _GRADE_CACHE[(n, m, k)] = out
-    return out
+
+    def compute() -> list[HalfEdgeGraph]:
+        pieces: list[HalfEdgeGraph] = []
+        for j in range(1, n + 1):
+            pieces.extend(connected_classes(j, plus=False, budget=b))
+        out = []
+        for g in _multisets(pieces, n, lambda g: len(g.edges), b):
+            gr = g.grade()
+            if gr.m == m and gr.k == k:
+                out.append(g)
+        return out
+
+    return b.memo(_GRADE_CACHE, (n, m, k), compute)
 
 
 def _multisets(pieces, total, size, budget: _Budget):

@@ -7,14 +7,19 @@ from the chord invariants beta_c, which keeps O(n)-invariance automatic.
 
 The graph-to-tensor map ``phi`` block-symmetrizes beta_c along a block
 presentation of the graph; ``psi`` inverts it by evaluating an invariant lift
-against the coinvariants z_c.
+against the coinvariants z_c.  The lift of a term averages its words over the
+group that reorders each block, the blocks of equal size and the external
+monomial, so its value on one word is the coefficient of the word's term over
+the size of that term's orbit.  ``psi`` reads this closed form at the single
+word of each z_c and never builds the lift.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import accumulate, pairwise
 from math import factorial
 from typing import Iterable, Sequence
 
@@ -25,7 +30,6 @@ from .chords import (
     chord_from_graph,
     enumerate_chords,
     graph_from_chord,
-    pair_raw,
     z_coinv,
 )
 from .errors import (
@@ -91,20 +95,20 @@ class InvariantTensor(SparseVector):
         return InvariantTensor(self.dim, out)
 
 
+def _cut(word: Sequence[int], cuts: Sequence[int]) -> Term:
+    """The term of a word: internal blocks between consecutive ``cuts``, the
+    external monomial after the last one."""
+    return _norm_term((word[a:b] for a, b in pairwise(cuts)), word[cuts[-1] :])
+
+
 def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
     """Project a raw tensor to block monomials along the given layout."""
     if f.length != shape.total:
         raise ShapeMismatch(f"raw length {f.length} != shape total {shape.total}")
-    bounds = []
-    pos = 0
-    for k in shape.internal:
-        bounds.append((pos, pos + k))
-        pos += k
-    ext_lo = pos
+    cuts = list(accumulate(shape.internal, initial=0))
     out: dict[Term, Fraction] = {}
     for word, c in f.terms():
-        blocks = [word[a:b] for a, b in bounds]
-        term = _norm_term(blocks, word[ext_lo:])
+        term = _cut(word, cuts)
         out[term] = out.get(term, Fraction(0)) + c
     return InvariantTensor(f.dim, out)
 
@@ -274,47 +278,33 @@ def apply_signed_permutation(
 # The inverse map
 
 
-def _invariant_lift(terms: list[tuple[Blocks, Mono, Fraction]], sizes: tuple[int, ...], dim: int) -> RawTensor:
-    """Average block-monomial terms over within-block permutations, swaps of
-    equal-size blocks, and external permutations; an invariant preimage of the
-    block projection (characteristic zero)."""
-    k0 = len(terms[0][1]) if terms else 0
-    length = sum(sizes) + k0
-    size_groups: list[list[int]] = []
-    for i, s in enumerate(sizes):
-        if size_groups and sizes[size_groups[-1][0]] == s:
-            size_groups[-1].append(i)
-        else:
-            size_groups.append([i])
-    group_size = 1
-    for grp in size_groups:
-        group_size *= factorial(len(grp))
-    within = group_size * factorial(k0)
-    for s in sizes:
-        within *= factorial(s)
-    inv_order = Fraction(1, within)
+def _arrangements(mono: Sequence) -> int:
+    """Distinct orderings of a multiset: len! over the product of multiplicities!."""
+    count = factorial(len(mono))
+    for m in Counter(mono).values():
+        count //= factorial(m)
+    return count
 
-    words: dict[tuple[int, ...], Fraction] = {}
-    for blocks, ext, coeff in terms:
-        ordered = sorted(blocks, key=lambda b: (len(b), b))
-        if tuple(len(b) for b in ordered) != sizes:
-            raise ShapeMismatch("term does not match the shape group")
-        weight = coeff * inv_order
-        for group_orders in iproduct(*[permutations(grp) for grp in size_groups]):
-            arrangement = [None] * len(sizes)
-            for grp, order in zip(size_groups, group_orders):
-                for src, dst in zip(grp, order):
-                    arrangement[dst] = ordered[src]
-            for chunk_words in iproduct(*[permutations(b) for b in arrangement]):
-                head = tuple(x for chunk in chunk_words for x in chunk)
-                for tail in permutations(ext):
-                    word = head + tail
-                    words[word] = words.get(word, Fraction(0)) + weight
-    return RawTensor(dim, length, words)
+
+def _orbit_size(term: Term) -> int:
+    """Number of words that cut to ``term``: orderings of the external monomial,
+    of each block, and of the blocks among those of equal size."""
+    blocks, ext = term
+    size = _arrangements(ext)
+    for b in blocks:
+        size *= _arrangements(b)
+    for s in set(map(len, blocks)):
+        size *= _arrangements([b for b in blocks if len(b) == s])
+    return size
 
 
 def psi(t: InvariantTensor, n: int | None = None) -> GraphPoly:
-    """Evaluate an invariant lift against the coinvariants z_c.
+    """Evaluate the invariant lift of ``t`` against the coinvariants z_c.
+
+    For each block shape of ``t`` and each chord diagram c, the single word of
+    z_c is cut along the shape into a term.  The lift is a group average, so
+    its value on that word is the term's coefficient in ``t`` divided by the
+    term's orbit size; that value weights the graph of c on the shape.
 
     Requires a homogeneous tensor; a tensor of bigrade (N, k) with N > n maps
     to zero.  On images of ``phi`` this inverts it exactly.
@@ -325,22 +315,19 @@ def psi(t: InvariantTensor, n: int | None = None) -> GraphPoly:
         raise DimensionMismatch(f"tensor lives over dimension {t.dim}, not {n}")
     if t.is_zero():
         return GraphPoly.zero()
-    N, _k = t.bigrade()
+    N, k = t.bigrade()
     if N > n:
         return GraphPoly.zero()
 
-    groups: dict[tuple[int, ...], list[tuple[Blocks, Mono, Fraction]]] = {}
-    for (blocks, ext), c in t._terms.items():
-        sizes = tuple(sorted(len(b) for b in blocks))
-        groups.setdefault(sizes, []).append((blocks, ext, c))
-
-    diagrams = enumerate_chords(N)
     summands = []
-    for sizes, terms in sorted(groups.items()):
-        shape = BlockShape(sizes, len(terms[0][1]))
-        lift = _invariant_lift(terms, sizes, t.dim)
-        for c in diagrams:
-            value = pair_raw(lift, z_coinv(c, n))
-            if value:
-                summands.append((GraphPoly.from_graph(graph_from_chord(shape, c)), value))
+    for sizes in sorted({tuple(sorted(map(len, blocks))) for blocks, _ in t._terms}):
+        shape = BlockShape(sizes, k)
+        cuts = list(accumulate(sizes, initial=0))
+        for c in enumerate_chords(N):
+            ((word, _),) = z_coinv(c, n).terms()
+            term = _cut(word, cuts)
+            coeff = t._terms.get(term)
+            if coeff:
+                graph = GraphPoly.from_graph(graph_from_chord(shape, c))
+                summands.append((graph, coeff / _orbit_size(term)))
     return linear_combination(summands, GraphPoly())

@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ckhopf.cli import main
 from ckhopf.corpus import named_graph
@@ -145,3 +148,42 @@ def test_tensor_missing_or_truncated_file_exits_2(tmp_path, capsys):
     path = tmp_path / "t.json"
     path.write_text('{"dimension": 2, "terms": [')
     assert main(["psi", str(path)]) == 2
+
+
+@pytest.mark.parametrize("edges", ["[[0,1", "5", "0-x", "[5]"])
+def test_contract_malformed_edges_exits_2(capsys, edges):
+    assert main(["contract", "bubble", "--edges", edges]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"edges": 5},
+        {"half_edges": [0, 1], "edges": [[0, 1]], "vertices": [[0], [1]], "external": [True]},
+    ],
+)
+def test_aut_malformed_graph_fields_exits_2(tmp_path, capsys, doc):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(doc))
+    assert main(["aut", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(allow_nan=False) | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=16,
+)
+_graph_fields = st.fixed_dictionaries(
+    {}, optional={name: _json for name in ("half_edges", "edges", "vertices", "external")}
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_json | _graph_fields)
+def test_aut_arbitrary_json_exits_0_or_2(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("fuzz") / "g.json"
+    path.write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["aut", str(path)]) in (0, 2)

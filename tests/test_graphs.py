@@ -24,6 +24,7 @@ from ckhopf.graphs import (
     contract_subgraph,
     disjoint_union,
     dot_graph,
+    enumerate_by_grade,
     enumerate_graphs,
     extract_subgraph,
     free_propagator,
@@ -268,6 +269,24 @@ def test_enumerate_edge_count_postcondition():
 def test_enumerate_budget():
     with pytest.raises(ResourceBound):
         enumerate_graphs(3, "all", budget=2)
+
+
+def test_budget_charged_on_cache_hits():
+    # warm every enumeration cache the two calls read, then budget them
+    enumerate_graphs(4, "all")
+    enumerate_by_grade(4, 2, 2)
+    with pytest.raises(ResourceBound):
+        enumerate_by_grade(4, 2, 2, budget=1)
+    with pytest.raises(ResourceBound):
+        enumerate_graphs(4, "connected", budget=50)
+    assert len(enumerate_graphs(4, "connected")) == 64
+
+
+def test_validate_accepts_generators():
+    vertices = [(0,), (1,)]
+    g = validate(iter([0, 1]), iter([(0, 1)]), (v for v in vertices), iter([1]))
+    assert g == validate([0, 1], [(0, 1)], vertices, [1])
+    assert g.external == (1,)
 
 
 def test_dot_graphs():

@@ -105,3 +105,31 @@ def test_invariant_from_doc_rejects_malformed(doc):
 def test_graph_from_doc_rejects_non_object(doc):
     with pytest.raises(InvalidInput):
         graph_from_doc(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"edges": 5},
+        {"half_edges": "01", "edges": [], "vertices": []},
+        {"half_edges": [0, 1], "edges": [[0, 1]], "vertices": {"0": [0, 1]}},
+        {"half_edges": [0, 1], "edges": [[0, 1]], "vertices": [[0, 1]], "external": 0},
+        # "ab" would otherwise be read as the pair ("a", "b")
+        {"half_edges": ["a", "b"], "edges": ["ab"], "vertices": [["a", "b"]]},
+        {"half_edges": [0, 1], "edges": [[0, 1]], "vertices": [[0, 1], 5]},
+        {"half_edges": [True, False], "edges": [[True, False]], "vertices": [[True, False]]},
+        {"half_edges": [0.5, 1], "edges": [[0.5, 1]], "vertices": [[0.5, 1]]},
+        {"half_edges": [0, 1], "edges": [[0, None]], "vertices": [[0, 1]]},
+        # true would otherwise be read as vertex index 1
+        {"half_edges": [0, 1], "edges": [[0, 1]], "vertices": [[0], [1]], "external": [True]},
+        {"half_edges": [0, 1], "edges": [[0, 1]], "vertices": [[0], [1]], "external": ["1"]},
+    ],
+)
+def test_graph_from_doc_rejects_malformed_fields(doc):
+    with pytest.raises(InvalidInput):
+        graph_from_doc(doc)
+
+
+def test_graph_from_doc_accepts_string_labels():
+    doc = {"half_edges": ["a", "b"], "edges": [["a", "b"]], "vertices": [["a"], ["b"]], "external": [1]}
+    assert canonical_key(graph_from_doc(doc)) == canonical_key(named_graph("dot_1"))

@@ -6,9 +6,9 @@ import pytest
 from ckhopf.chords import BlockShape, ChordDiagram, beta
 from ckhopf.corpus import connected_corpus, default_corpus, named_graph
 from ckhopf.errors import DimensionMismatch, InhomogeneousInput, NotInLPlus
-from ckhopf.graphs import disjoint_union, enumerate_graphs, is_isomorphic
+from ckhopf.graphs import disjoint_union, enumerate_by_grade, enumerate_graphs, is_isomorphic
 from ckhopf.insertion import insertion_product
-from ckhopf.poly import GraphPoly
+from ckhopf.poly import GraphPoly, linear_combination
 from ckhopf.tensors import (
     InvariantTensor,
     PairTensor,
@@ -266,6 +266,45 @@ def test_psi_linear_on_mixed_shapes():
     w = named_graph("twoloop")
     t = phi(b, 3) + phi(w, 3).scale(Fraction(5, 2))
     assert psi(t) == P(b) + P(w).scale(Fraction(5, 2))
+    # every class of grade (3, 3, 0), connected or not, with distinct weights
+    graphs = enumerate_by_grade(3, 3, 0)
+    assert len({tuple(sorted(map(len, g.vertices))) for g in graphs}) > 3
+    weights = [Fraction(i + 1, 3) * (-1) ** i for i in range(len(graphs))]
+    t = linear_combination(((phi(g, 3), c) for g, c in zip(graphs, weights)), InvariantTensor(3))
+    expected = linear_combination(((P(g), c) for g, c in zip(graphs, weights)), GraphPoly())
+    assert psi(t) == expected
+
+
+def test_psi_inverts_phi_on_five_edge_sample():
+    connected = enumerate_graphs(5, "connected")
+    assert len(connected) == 226
+    for g in random.Random(5).sample(connected, 20):
+        assert psi(phi(g, 5)) == P(g), g
+
+
+# Non-image tensors, one per factor of the orbit size.  Each coinvariant word
+# uses every index exactly twice, so psi reads only such terms.
+
+
+def test_psi_divides_by_repeats_inside_a_block():
+    # Block x1 x1 x2 x2: all three chord diagrams on one 4-valent vertex cut to
+    # it; its 4!/(2!2!) = 6 orderings give 3 * 1/6 of the figure eight.
+    t = InvariantTensor(2, {(((1, 1, 2, 2),), ()): Fraction(1)})
+    assert psi(t) == P(named_graph("twoloop")).scale(Fraction(1, 2))
+
+
+def test_psi_divides_by_swaps_of_identical_blocks():
+    # Blocks {x1 x2, x1 x2}: chords (13)(24) and (14)(23) cut to them, both the
+    # bubble; 2 * 2 within-block orderings and one distinct block order: 2 * 1/4.
+    t = InvariantTensor(2, {(((1, 2), (1, 2)), ()): Fraction(1)})
+    assert psi(t) == P(named_graph("bubble")).scale(Fraction(1, 2))
+
+
+def test_psi_divides_by_repeats_in_the_external_monomial():
+    # External x1 x1 alone at dimension 2 (phi of the free propagator is
+    # x1 x1 + x2 x2): the one chord gives the free propagator, orbit 2!/2! = 1.
+    t = InvariantTensor(2, {((), (1, 1)): Fraction(3)})
+    assert psi(t) == P(named_graph("freeprop")).scale(3)
 
 
 def test_beta_rank_drops_below_dimension():
