@@ -17,17 +17,17 @@ loop1 = GraphPoly.from_graph(named_graph("loop1"))
 bubble = GraphPoly.from_graph(named_graph("bubble"))
 
 print("coproduct(loop1) has only the trivial terms:")
-for (k1, k2), c in hopf.coproduct(loop1).terms():
+for (k1, k2), c in hopf.coproduct(loop1).written_terms():
     print("  ", c, "*", graph_from_key(k1).grade(), "(x)", graph_from_key(k2).grade())
 print()
 
 print("coproduct(bubble) adds 2 * twoleg (x) loop1 (two one-edge subgraphs):")
-for (k1, k2), c in hopf.coproduct(bubble).terms():
+for (k1, k2), c in hopf.coproduct(bubble).written_terms():
     print("  ", c, "*", graph_from_key(k1).grade(), "(x)", graph_from_key(k2).grade())
 print()
 
 print("antipode(bubble) = -bubble + 2 * (twoleg u loop1):")
-for key, c in hopf.antipode(bubble).terms():
+for key, c in hopf.antipode(bubble).written_terms():
     print("  ", c, "*", graph_from_key(key).grade())
 print()
 

@@ -22,7 +22,7 @@ print()
 print("The star product is computed from the coproduct alone, over a graded")
 print("window of candidate graphs; inserting is never consulted:")
 star = hopf.star_product(twoleg, loop1)
-for key, c in star.terms():
+for key, c in star.written_terms():
     print("  ", c, "*", graph_from_key(key).grade())
 print("  twoleg * loop1 - twoleg u loop1 == 2 * bubble:",
       star - product(twoleg, loop1) == bubble.scale(2))

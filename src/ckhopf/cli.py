@@ -24,6 +24,7 @@ from .graphs import (
     contract_subgraph,
     enumerate_graphs,
     graph_from_key,
+    monomial_key,
 )
 from .poly import GraphPoly, GraphTensorPoly
 from .serialize import (
@@ -67,36 +68,25 @@ def _graph_label(key: bytes) -> str:
     if name:
         return name
     g = graph_from_key(key)
-    from .graphs import connected_components
-
-    comps = connected_components(g)
-    if len(comps) > 1:
-        parts = [name_by_key().get(canonical_key(c)) for c in comps]
-        if all(parts):
-            return "(" + " u ".join(sorted(parts)) + ")"
+    names = [name_by_key().get(part) for part in monomial_key(g)]
+    if all(names):
+        return "(" + " u ".join(sorted(names)) + ")"
     gr = g.grade()
     digest = hashlib.sha256(key).hexdigest()[:8]
     return f"<n={gr.n},m={gr.m},k={gr.k};id={digest}>"
 
 
 def _poly_text(p: GraphPoly) -> str:
-    if p.is_zero():
-        return "0"
-    bits = []
-    for key, c in p.terms():
-        coeff = "" if c == 1 else f"{c} * "
-        bits.append(f"{coeff}{_graph_label(key)}")
-    return " + ".join(bits)
+    bits = [("" if c == 1 else f"{c} * ") + _graph_label(k) for k, c in p.written_terms()]
+    return " + ".join(bits) or "0"
 
 
 def _tensor_poly_text(t: GraphTensorPoly) -> str:
-    if t.is_zero():
-        return "0"
-    bits = []
-    for (k1, k2), c in t.terms():
-        coeff = "" if c == 1 else f"{c} * "
-        bits.append(f"{coeff}{_graph_label(k1)} (x) {_graph_label(k2)}")
-    return " + ".join(bits)
+    bits = [
+        ("" if c == 1 else f"{c} * ") + " (x) ".join(map(_graph_label, keys))
+        for keys, c in t.written_terms()
+    ]
+    return " + ".join(bits) or "0"
 
 
 def _invariant_text(t: InvariantTensor) -> str:
@@ -137,6 +127,13 @@ def _parse_edges(spec: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _count(text: str) -> int:
+    """An argparse type: a nonnegative integer, else a usage error (exit 2)."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, not {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="ckhopf", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -146,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="write output to a file")
 
     p = sub.add_parser("enumerate", help="isomorphism classes with a given edge count")
-    p.add_argument("--edges", type=int, required=True)
+    p.add_argument("--edges", type=_count, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--connected", action="store_true")
     group.add_argument("--connected-plus", action="store_true")
@@ -183,27 +180,27 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi", help="graph to invariant tensor")
     p.add_argument("graph")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_count, required=True)
     common(p)
 
     p = sub.add_parser("psi", help="invariant tensor to graph polynomial")
     p.add_argument("tensor", help="path to an invariant tensor JSON file")
-    p.add_argument("--dim", type=int, default=None)
+    p.add_argument("--dim", type=_count, default=None)
     common(p)
 
     p = sub.add_parser("delta", help="tensor coproduct into dimensions m and n")
     p.add_argument("tensor")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=_count, required=True)
+    p.add_argument("--n", type=_count, required=True)
     common(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all", choices=suite_names())
-    p.add_argument("--max-edges", type=int, default=3)
-    p.add_argument("--dim", type=int, default=4)
+    p.add_argument("--max-edges", type=_count, default=3)
+    p.add_argument("--dim", type=_count, default=4)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--full-subgraph-term", action="store_true")
-    p.add_argument("--prelie-samples", type=int, default=200)
+    p.add_argument("--prelie-samples", type=_count, default=200)
     common(p)
 
     return top

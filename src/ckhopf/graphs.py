@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -254,6 +254,20 @@ def _multigraph(g: HalfEdgeGraph):
     return V, ext, loops, mult
 
 
+def _vertex_groups(V: int, mult) -> list[list[int]]:
+    """The vertex sets of the connected components of a vertex multigraph."""
+    groups: list[list[int]] = []
+    placed: set[int] = set()
+    for start in range(V):
+        if start not in placed:
+            group = [start]
+            for i in group:
+                group += [j for j in range(V) if mult[i][j] and j not in group]
+            placed.update(group)
+            groups.append(group)
+    return groups
+
+
 def _refine_classes(V, ext, loops, mult):
     """Iterated equitable refinement; returns classes ordered by color value."""
     deg = [sum(mult[i]) + 2 * loops[i] for i in range(V)]
@@ -444,7 +458,7 @@ def from_json_dict(doc: dict) -> HalfEdgeGraph:
 
 
 @lru_cache(maxsize=None)
-def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int]:
+def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
     V, ext, loops, mult = _multigraph(g)
     classes = _refine_classes(V, ext, loops, mult)
     order, aut_mg = _canonical_order(V, ext, loops, mult, classes)
@@ -455,17 +469,35 @@ def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int]:
         aut *= 2 ** loops[i] * factorial(loops[i])
         for j in range(i + 1, V):
             aut *= factorial(mult[i][j])
-    return key, canon, aut
+    if len(_vertex_groups(V, mult)) + g.n_empty == 1:
+        parts = (key,)
+    else:
+        parts = tuple(map(canonical_key, connected_components(canon)))
+    return key, canon, aut, parts
 
 
 def canonical_form(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph]:
     """Canonical key (bytes of the canonical JSON serialization) and relabeled graph."""
-    key, canon, _ = _canonical(g)
-    return key, canon
+    return _canonical(g)[:2]
 
 
 def canonical_key(g: HalfEdgeGraph) -> bytes:
     return _canonical(g)[0]
+
+
+def monomial_key(g: HalfEdgeGraph) -> tuple[bytes, ...]:
+    """The key of g as a monomial of H: the sorted canonical keys of its
+    connected components.  The empty graph is ``()``, a connected graph
+    ``(canonical_key(g),)``, and each empty vertex is its own component."""
+    return _canonical(g)[3]
+
+
+def written_key(key: tuple[bytes, ...]) -> bytes:
+    """The canonical key of the graph of a monomial key: its one part, or the
+    canonical key of the disjoint union of its parts."""
+    if len(key) == 1:
+        return key[0]
+    return canonical_key(reduce(disjoint_union, map(graph_from_key, key), EMPTY_GRAPH))
 
 
 @lru_cache(maxsize=None)
@@ -587,34 +619,13 @@ def connected_components(g: HalfEdgeGraph) -> list[HalfEdgeGraph]:
     Each empty vertex is its own component.  The list is sorted by canonical
     key so it is deterministic.
     """
-    parent: dict[int, int] = {h: h for h in g.half_edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for a, b in g.edges:
-        union(a, b)
-    for v in g.vertices:
-        for h in v[1:]:
-            union(v[0], h)
-
-    buckets: dict[int, set[int]] = {}
-    for h in g.half_edges:
-        buckets.setdefault(find(h), set()).add(h)
-
+    V, _, _, mult = _multigraph(g)
     ext_set = g.external_set()
     comps = []
-    for halves in buckets.values():
+    for group in _vertex_groups(V, mult):
+        vertices = [g.vertices[i] for i in group]
+        halves = {h for v in vertices for h in v}
         edges = [e for e in g.edges if e[0] in halves]
-        vertices = [v for v in g.vertices if v and v[0] in halves]
         external = [h for h in halves if h in ext_set]
         comps.append(_normalize_surviving(edges, vertices, external, 0))
     comps.extend([HalfEdgeGraph((), (), (), 1)] * g.n_empty)
@@ -622,7 +633,7 @@ def connected_components(g: HalfEdgeGraph) -> list[HalfEdgeGraph]:
 
 
 def is_connected(g: HalfEdgeGraph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(monomial_key(g)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -806,60 +817,64 @@ def enumerate_graphs(
     vertices are excluded from the generating set.
     """
     if n_edges < 0:
-        raise ValueError("n_edges must be nonnegative")
+        raise InvalidInput(f"the edge count must be nonnegative, not {n_edges}")
     b = _Budget(budget)
     if filter == "connected":
         return connected_classes(n_edges, plus=False, budget=b)
     if filter == "connected_plus":
         return connected_classes(n_edges, plus=True, budget=b)
     if filter != "all":
-        raise ValueError(f"unknown filter {filter!r}")
+        raise InvalidInput(f"unknown filter {filter!r}")
     if n_edges == 0:
         return [EMPTY_GRAPH]
-    pieces: list[HalfEdgeGraph] = []
-    for j in range(1, n_edges + 1):
-        pieces.extend(connected_classes(j, plus=False, budget=b))
-    return _multisets(pieces, n_edges, lambda g: len(g.edges), b)
-
-
-_GRADE_CACHE: dict[tuple[int, int, int], tuple[list[HalfEdgeGraph], int]] = {}
+    return _union_classes(k for keys in _monomials(n_edges, b).values() for k in keys)
 
 
 def enumerate_by_grade(
     n: int, m: int, k: int, budget: int | None = None
 ) -> list[HalfEdgeGraph]:
     """All classes (connected or not, no empty vertices) of exact grade (n, m, k)."""
-    b = _Budget(budget)
+    return _union_classes(_monomials(n, _Budget(budget)).get((m, k), []))
 
-    def compute() -> list[HalfEdgeGraph]:
-        pieces: list[HalfEdgeGraph] = []
-        for j in range(1, n + 1):
-            pieces.extend(connected_classes(j, plus=False, budget=b))
-        out = []
-        for g in _multisets(pieces, n, lambda g: len(g.edges), b):
-            gr = g.grade()
-            if gr.m == m and gr.k == k:
-                out.append(g)
+
+def monomials_by_grade(n: int, m: int, k: int) -> list[tuple[bytes, ...]]:
+    """The monomial keys of ``enumerate_by_grade(n, m, k)``, with no union canonicalized."""
+    return _monomials(n, _Budget(None)).get((m, k), [])
+
+
+def _union_classes(monomials: Iterable[tuple[bytes, ...]]) -> list[HalfEdgeGraph]:
+    """The canonical graph of each monomial key, sorted by canonical key."""
+    return [graph_from_key(key) for key in sorted(map(written_key, monomials))]
+
+
+# n -> ({(m, k): monomial keys of grade (n, m, k)}, steps they cost)
+_GRADE_CACHE: dict[int, tuple[dict[tuple[int, int], list[tuple[bytes, ...]]], int]] = {}
+
+
+def _monomials(n: int, budget: _Budget) -> dict[tuple[int, int], list[tuple[bytes, ...]]]:
+    """Every multiset of connected classes with ``n`` edges in all, as a
+    sorted tuple of canonical keys, grouped by summed (internal edges,
+    external vertices); one budget step per multiset."""
+
+    def compute() -> dict[tuple[int, int], list[tuple[bytes, ...]]]:
+        pieces = sorted(
+            (canonical_key(g), g.grade())
+            for j in range(1, n + 1)
+            for g in connected_classes(j, plus=False, budget=budget)
+        )
+        out: dict[tuple[int, int], list[tuple[bytes, ...]]] = {}
+
+        def rec(start: int, remaining: int, keys: tuple[bytes, ...], m: int, k: int):
+            if remaining == 0:
+                budget.spend()
+                out.setdefault((m, k), []).append(keys)
+                return
+            for i in range(start, len(pieces)):
+                key, gr = pieces[i]
+                if gr.n <= remaining:
+                    rec(i, remaining - gr.n, keys + (key,), m + gr.m, k + gr.k)
+
+        rec(0, n, (), 0, 0)
         return out
 
-    return b.memo(_GRADE_CACHE, (n, m, k), compute)
-
-
-def _multisets(pieces, total, size, budget: _Budget):
-    """All disjoint unions of connected pieces with sizes summing to ``total``."""
-    pieces = sorted(pieces, key=canonical_key)
-    out: dict[bytes, HalfEdgeGraph] = {}
-
-    def rec(start: int, remaining: int, acc: HalfEdgeGraph):
-        if remaining == 0:
-            budget.spend()
-            key, canon = canonical_form(acc)
-            out.setdefault(key, canon)
-            return
-        for i in range(start, len(pieces)):
-            s = size(pieces[i])
-            if s <= remaining:
-                rec(i, remaining - s, disjoint_union(acc, pieces[i]))
-
-    rec(0, total, EMPTY_GRAPH)
-    return sorted(out.values(), key=canonical_key)
+    return budget.memo(_GRADE_CACHE, n, compute)

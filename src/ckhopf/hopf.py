@@ -1,10 +1,10 @@
 """The commutative Hopf algebra of graphs and its dual star product.
 
 The coproduct sends a connected graph to 1 (x) G + G (x) 1 plus the sum of
-extract(gamma) (x) G/gamma over subgraphs gamma, and extends to products of
-connected graphs as an algebra map.  By default gamma ranges over the nonempty
-proper subsets of the internal edges; ``full_subgraph_term`` adds the full set,
-a variant kept only for diagnostics.
+extract(gamma) (x) G/gamma over subgraphs gamma, and a monomial (see ``poly``)
+to the product over its connected parts; so does the antipode.  By default
+gamma ranges over the nonempty proper subsets of the internal edges;
+``full_subgraph_term`` adds the full set, a variant kept only for diagnostics.
 
 The star product is the dual of the coproduct under the pairing weighted by
 automorphism counts: |Aut G| <a * b, G> = sum over coproduct terms of
@@ -15,25 +15,28 @@ quotient leg.  It is computed inside finite graded windows.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from math import factorial
 
 from .errors import WindowTooSmall
 from .graphs import (
     automorphism_count,
-    canonical_key,
-    connected_components,
     contract_subgraph,
-    enumerate_by_grade,
     extract_subgraph,
+    monomial_key,
+    monomials_by_grade,
 )
 from .poly import (
     EMPTY_KEY,
     GraphPoly,
     GraphTensorPoly,
+    Key,
     Scalar,
     SparseVector,
     _frac,
+    grade_of,
     graph_from_key,
     linear_combination,
     product,
@@ -51,33 +54,25 @@ def counit(p: GraphPoly) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _coproduct_connected(key: bytes, full: bool) -> GraphTensorPoly:
-    g = graph_from_key(key)
-    terms: dict[tuple[bytes, bytes], Fraction] = {}
-
-    def put(k1: bytes, k2: bytes):
-        terms[(k1, k2)] = terms.get((k1, k2), Fraction(0)) + 1
-
-    put(EMPTY_KEY, key)
-    put(key, EMPTY_KEY)
+def _coproduct_connected(part: bytes, full: bool) -> GraphTensorPoly:
+    """Coproduct of the connected graph with canonical key ``part``."""
+    g = graph_from_key(part)
     internal = g.internal_edges()
     top = len(internal) if full else len(internal) - 1
-    for r in range(1, top + 1):
-        for gamma in itertools.combinations(internal, r):
-            put(
-                canonical_key(extract_subgraph(g, gamma)),
-                canonical_key(contract_subgraph(g, gamma)),
-            )
-    return GraphTensorPoly(terms)
+    terms = Counter([(EMPTY_KEY, (part,)), ((part,), EMPTY_KEY)])
+    terms.update(
+        (monomial_key(extract_subgraph(g, gamma)), monomial_key(contract_subgraph(g, gamma)))
+        for r in range(1, top + 1)
+        for gamma in itertools.combinations(internal, r)
+    )
+    return GraphTensorPoly({pair: Fraction(m) for pair, m in terms.items()})
 
 
 @lru_cache(maxsize=None)
-def _coproduct_graph(key: bytes, full: bool) -> GraphTensorPoly:
-    comps = connected_components(graph_from_key(key))
-    out = GraphTensorPoly.unit()
-    for c in comps:
-        out = out.mul(_coproduct_connected(canonical_key(c), full))
-    return out
+def _coproduct_graph(key: Key, full: bool) -> GraphTensorPoly:
+    """Coproduct of one monomial: the product over its parts."""
+    parts = [_coproduct_connected(part, full) for part in key]
+    return reduce(GraphTensorPoly.mul, parts, GraphTensorPoly.unit())
 
 
 def coproduct(p: GraphPoly, full_subgraph_term: bool = False) -> GraphTensorPoly:
@@ -89,7 +84,7 @@ def coproduct(p: GraphPoly, full_subgraph_term: bool = False) -> GraphTensorPoly
 
 def coproduct_on_left(t: GraphTensorPoly, full_subgraph_term: bool = False) -> SparseVector:
     """(coproduct (x) id) applied to an element of H (x) H."""
-    out: dict[tuple[bytes, bytes, bytes], Fraction] = {}
+    out: dict[tuple[Key, Key, Key], Fraction] = {}
     for (k1, k2), c in t.terms():
         for (a, b), c2 in _coproduct_graph(k1, full_subgraph_term).terms():
             key = (a, b, k2)
@@ -99,7 +94,7 @@ def coproduct_on_left(t: GraphTensorPoly, full_subgraph_term: bool = False) -> S
 
 def coproduct_on_right(t: GraphTensorPoly, full_subgraph_term: bool = False) -> SparseVector:
     """(id (x) coproduct) applied to an element of H (x) H."""
-    out: dict[tuple[bytes, bytes, bytes], Fraction] = {}
+    out: dict[tuple[Key, Key, Key], Fraction] = {}
     for (k1, k2), c in t.terms():
         for (a, b), c2 in _coproduct_graph(k2, full_subgraph_term).terms():
             key = (k1, a, b)
@@ -108,25 +103,19 @@ def coproduct_on_right(t: GraphTensorPoly, full_subgraph_term: bool = False) -> 
 
 
 @lru_cache(maxsize=None)
-def _antipode_connected(key: bytes) -> GraphPoly:
-    """S(G) = -G - sum S(extract(gamma)) * (G/gamma), recursing on internal edges."""
-    g = graph_from_key(key)
-    summands = [(GraphPoly({key: Fraction(1)}), -1)]
-    internal = g.internal_edges()
-    for r in range(1, len(internal)):
-        for gamma in itertools.combinations(internal, r):
-            left = antipode(GraphPoly.from_graph(extract_subgraph(g, gamma)))
-            right = GraphPoly.from_graph(contract_subgraph(g, gamma))
-            summands.append((product(left, right), -1))
+def _antipode_connected(part: bytes) -> GraphPoly:
+    """S(G) = -G - sum S(gamma) * (G/gamma) over the terms gamma (x) G/gamma of
+    the coproduct of G other than 1 (x) G and G (x) 1."""
+    summands = [(GraphPoly({(part,): Fraction(1)}), -1)]
+    for (a, b), c in _coproduct_connected(part, False)._terms.items():
+        if a and b:
+            summands.append((product(_antipode_graph(a), GraphPoly({b: Fraction(1)})), -c))
     return linear_combination(summands, GraphPoly())
 
 
-def _antipode_graph(key: bytes) -> GraphPoly:
-    """S of one basis graph: the product of S over its connected components."""
-    factor = unit(1)
-    for comp in connected_components(graph_from_key(key)):
-        factor = product(factor, _antipode_connected(canonical_key(comp)))
-    return factor
+def _antipode_graph(key: Key) -> GraphPoly:
+    """S of one monomial: the product of S over its parts."""
+    return reduce(product, map(_antipode_connected, key), unit(1))
 
 
 def antipode(p: GraphPoly) -> GraphPoly:
@@ -148,43 +137,42 @@ def pairing(p: GraphPoly, q: GraphPoly) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _aut_key(key: bytes) -> int:
-    return automorphism_count(graph_from_key(key))
+def _aut_key(key: Key) -> int:
+    """|Aut C|^m * m! over the parts C of multiplicity m of a monomial; an
+    empty vertex has no half-edges to permute, so it gets no m!."""
+    count = 1
+    for part, m in Counter(key).items():
+        g = graph_from_key(part)
+        count *= automorphism_count(g) ** m * (factorial(m) if g.edges else 1)
+    return count
 
 
 @lru_cache(maxsize=None)
-def _is_connected_key(key: bytes) -> bool:
-    return len(connected_components(graph_from_key(key))) == 1
-
-
-@lru_cache(maxsize=None)
-def _subgraph_matches(key: bytes, size: int, legs: int) -> tuple:
+def _subgraph_matches(part: bytes, size: int, legs: int) -> Counter:
     """Multiplicities of (extract key, quotient key) pairs over the proper
     subgraphs of a connected graph with ``size`` edges and ``legs`` dangling
     half-edges.  Cheap leg counting prunes before any canonicalization."""
-    g = graph_from_key(key)
+    g = graph_from_key(part)
     internal = g.internal_edges()
-    if size <= 0 or size >= len(internal):
-        return ()
+    counts: Counter = Counter()
+    if not 0 < size < len(internal):
+        return counts
     vert_of = g.vertex_of()
-    counts: dict[tuple[bytes, bytes], int] = {}
     for gamma in itertools.combinations(internal, size):
         halves = {h for e in gamma for h in e}
         touched = {vert_of[h] for h in halves}
-        n_dangling = sum(len(g.vertices[vi]) for vi in touched) - 2 * size
-        if n_dangling != legs:
-            continue
-        pair = (
-            canonical_key(extract_subgraph(g, gamma)),
-            canonical_key(contract_subgraph(g, gamma)),
-        )
-        counts[pair] = counts.get(pair, 0) + 1
-    return tuple(sorted((k1, k2, m) for (k1, k2), m in counts.items()))
+        if sum(len(g.vertices[vi]) for vi in touched) - 2 * size == legs:
+            pair = (
+                monomial_key(extract_subgraph(g, gamma)),
+                monomial_key(contract_subgraph(g, gamma)),
+            )
+            counts[pair] += 1
+    return counts
 
 
 @lru_cache(maxsize=None)
-def _star_basis(ka: bytes, kb: bytes) -> GraphPoly:
-    """Star product of two basis graphs over the full graded window.
+def _star_basis(ka: Key, kb: Key) -> GraphPoly:
+    """Star product of two basis monomials over the full graded window.
 
     Candidates are drawn by grade: the internal edge count of any candidate is
     m_a + m_b (the coproduct has internal-edge degree zero), the external count
@@ -195,26 +183,26 @@ def _star_basis(ka: bytes, kb: bytes) -> GraphPoly:
         return GraphPoly({kb: Fraction(1)})
     if kb == EMPTY_KEY:
         return GraphPoly({ka: Fraction(1)})
-    ga, gb = graph_from_key(ka), graph_from_key(kb)
-    gra, grb = ga.grade(), gb.grade()
+    gra, grb = grade_of(ka), grade_of(kb)
     total = gra.n + grb.n
     aut_ab = _aut_key(ka) * _aut_key(kb)
     low = max(grb.n + gra.m, -(-total // 3))
-    out: dict[bytes, Fraction] = {}
+    parts_a = set(ka)
+    out: dict[Key, Fraction] = {}
     for n in range(low, total + 1):
         for k in range(grb.k, gra.k + grb.k + 1):
-            for cand in enumerate_by_grade(n, gra.m + grb.m, k):
-                ck = canonical_key(cand)
-                if _is_connected_key(ck):
-                    mult = Fraction(0)
-                    for k1, k2, m in _subgraph_matches(ck, gra.m, gra.k):
-                        if k1 == ka and k2 == kb:
-                            mult += m
+            for cand in monomials_by_grade(n, gra.m + grb.m, k):
+                if len(cand) == 1:
+                    mult = _subgraph_matches(cand[0], gra.m, gra.k)[ka, kb]
+                # Each part of a candidate either goes whole into the subgraph
+                # leg, as a part of ka, or gives exactly one part of kb.
+                elif 0 <= len(cand) - len(kb) <= sum(p in parts_a for p in cand):
+                    mult = _coproduct_graph(cand, False).coeff_pair(ka, kb)
                 else:
-                    mult = _coproduct_graph(ck, False).coeff_pair(ka, kb)
+                    continue
                 if mult:
-                    coeff = mult * aut_ab / automorphism_count(cand)
-                    out[ck] = out.get(ck, Fraction(0)) + coeff
+                    coeff = Fraction(mult * aut_ab, _aut_key(cand))
+                    out[cand] = out.get(cand, Fraction(0)) + coeff
     return GraphPoly(out)
 
 
@@ -224,13 +212,8 @@ def star_product(a: GraphPoly, b: GraphPoly, edge_bound: int | None = None) -> G
     ``edge_bound`` defaults to the largest total degree of a support pair; a
     smaller bound that truncates required degrees raises WindowTooSmall.
     """
-    needed = 0
-    pairs = []
-    for ka, ca in a.terms():
-        for kb, cb in b.terms():
-            total = len(graph_from_key(ka).edges) + len(graph_from_key(kb).edges)
-            needed = max(needed, total)
-            pairs.append((ka, ca, kb, cb))
+    pairs = [(ka, ca, kb, cb) for ka, ca in a.terms() for kb, cb in b.terms()]
+    needed = max((grade_of(ka).n + grade_of(kb).n for ka, _, kb, _ in pairs), default=0)
     if edge_bound is None:
         edge_bound = needed
     if edge_bound < needed:

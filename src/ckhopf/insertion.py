@@ -8,14 +8,15 @@ all eligible vertices of g1 and all bijections.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
 from .errors import NotInternalVertex, ValencyMismatch
-from .graphs import HalfEdgeGraph, canonical_key
-from .poly import GraphPoly, graph_from_key, linear_combination
+from .graphs import HalfEdgeGraph, monomial_key, written_key
+from .poly import GraphPoly, Key, graph_from_key, linear_combination
 
 
 def insert_at(
@@ -44,6 +45,8 @@ def insert_at(
     if v not in g1.internal_vertices():
         raise NotInternalVertex(f"{v!r} is not an internal vertex of g1")
     ext_edges = g2.external_edges()
+    if len(g2.external) != len(ext_edges):
+        raise ValencyMismatch("an edge of g2 between two external vertices attaches to no vertex")
     if len(v) != len(ext_edges):
         raise ValencyMismatch(
             f"vertex valency {len(v)} != {len(ext_edges)} external edges"
@@ -94,26 +97,25 @@ def insert_at(
 
 
 @lru_cache(maxsize=None)
-def _insertion_basis(k1: bytes, k2: bytes) -> GraphPoly:
-    g1, g2 = graph_from_key(k1), graph_from_key(k2)
+def _insertion_basis(k1: Key, k2: Key) -> GraphPoly:
+    g1, g2 = graph_from_key(written_key(k1)), graph_from_key(written_key(k2))
     ext_edges = g2.external_edges()
-    want = len(ext_edges)
-    out: dict[bytes, Fraction] = {}
-    for v in g1.internal_vertices():
-        if len(v) != want:
-            continue
-        for perm in permutations(ext_edges):
-            sigma = dict(zip(v, perm))
-            key = canonical_key(insert_at(g1, v, sigma, g2))
-            out[key] = out.get(key, Fraction(0)) + 1
-    if want == 0 and g1.n_empty:
-        key = canonical_key(insert_at(g1, (), {}, g2))
-        out[key] = out.get(key, Fraction(0)) + g1.n_empty
-    return GraphPoly(out)
+    if len(g2.external) != len(ext_edges):
+        return GraphPoly()
+    out = Counter(
+        monomial_key(insert_at(g1, v, dict(zip(v, perm)), g2))
+        for v in g1.internal_vertices()
+        if len(v) == len(ext_edges)
+        for perm in permutations(ext_edges)
+    )
+    if not ext_edges and g1.n_empty:
+        out[monomial_key(insert_at(g1, (), {}, g2))] += g1.n_empty
+    return GraphPoly({key: Fraction(m) for key, m in out.items()})
 
 
 def insertion_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
-    """Bilinear extension of the insertion sum; valency mismatches give zero."""
+    """Bilinear extension of the insertion sum.  Valency mismatches give zero,
+    and so does a g2 with an edge between two external vertices."""
     return linear_combination(
         ((_insertion_basis(k1, k2), c1 * c2) for k1, c1 in a.terms() for k2, c2 in b.terms()),
         GraphPoly(),

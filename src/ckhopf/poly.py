@@ -1,26 +1,29 @@
 """Finite rational combinations: one sparse vector type, and the graph
 polynomials of H and H (x) H built on it.
 
-Graphs are identified by canonical key; the key bytes are the canonical JSON
-serialization, so they parse back to a graph without any side table.
+H is free commutative on connected graphs: a basis element is keyed by the
+sorted tuple of its components' canonical keys (``graphs.monomial_key``), a
+product merges tuples, and outputs list terms by ``graphs.written_key``, the
+only place a disconnected graph is canonicalized as one graph.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import Hashable, Iterable, Iterator
 
 from .errors import DimensionMismatch
 from .graphs import (
-    EMPTY_GRAPH,
+    GradeTriple,
     HalfEdgeGraph,
-    canonical_key,
-    disjoint_union,
     graph_from_key,
+    monomial_key,
+    written_key,
 )
 
-EMPTY_KEY = canonical_key(EMPTY_GRAPH)
+Key = tuple[bytes, ...]
+
+EMPTY_KEY: Key = ()
 
 Scalar = Fraction | int
 
@@ -116,6 +119,11 @@ class SparseVector:
         return f"{type(self).__name__}({', '.join(args)})"
 
 
+def grade_of(key: Key) -> GradeTriple:
+    """The grade of a monomial: the sum of the grades of its parts."""
+    return sum((graph_from_key(part).grade() for part in key), GradeTriple(0, 0, 0))
+
+
 def linear_combination(pairs: Iterable[tuple[SparseVector, Scalar]], like: SparseVector):
     """The sum of c * v over the (v, c) in ``pairs``, accumulated in one dict.
 
@@ -150,37 +158,33 @@ class GraphPoly(SparseVector):
 
     @classmethod
     def from_graph(cls, g: HalfEdgeGraph, coeff: Scalar = 1) -> "GraphPoly":
-        return cls({canonical_key(g): _frac(coeff)})
+        return cls({monomial_key(g): _frac(coeff)})
+
+    def written_terms(self) -> list[tuple[bytes, Fraction]]:
+        """(written key, coefficient) pairs in sorted order, as every output lists them."""
+        return sorted((written_key(k), c) for k, c in self._terms.items())
 
     def graphs(self) -> Iterator[tuple[HalfEdgeGraph, Fraction]]:
-        for k, c in self.terms():
+        for k, c in self.written_terms():
             yield graph_from_key(k), c
 
     def coeff(self, g: HalfEdgeGraph) -> Fraction:
-        return self._terms.get(canonical_key(g), _ZERO)
+        return self._terms.get(monomial_key(g), _ZERO)
 
-    def coeff_key(self, key: bytes) -> Fraction:
+    def coeff_key(self, key: Key) -> Fraction:
         return self._terms.get(key, _ZERO)
 
-    def support(self) -> list[bytes]:
-        return sorted(self._terms)
-
     def __repr__(self) -> str:
-        if self.is_zero():
-            return "GraphPoly(0)"
-        bits = [f"{c} * {k.decode('ascii')}" for k, c in self.terms()]
-        return "GraphPoly(" + " + ".join(bits) + ")"
+        bits = " + ".join(f"{c} * {k.decode('ascii')}" for k, c in self.written_terms())
+        return f"GraphPoly({bits or 0})"
 
     def grade_projection(self, n: int, m: int | None = None, k: int | None = None) -> "GraphPoly":
         out = {}
         for key, c in self._terms.items():
-            gr = graph_from_key(key).grade()
+            gr = grade_of(key)
             if gr.n == n and (m is None or gr.m == m) and (k is None or gr.k == k):
                 out[key] = c
         return GraphPoly(out)
-
-    def max_edges(self) -> int:
-        return max((len(graph_from_key(k).edges) for k in self._terms), default=0)
 
 
 def poly(*graphs_and_coeffs) -> GraphPoly:
@@ -193,17 +197,12 @@ def poly(*graphs_and_coeffs) -> GraphPoly:
     )
 
 
-@lru_cache(maxsize=None)
-def _union_key(k1: bytes, k2: bytes) -> bytes:
-    return canonical_key(disjoint_union(graph_from_key(k1), graph_from_key(k2)))
-
-
 def product(p: GraphPoly, q: GraphPoly) -> GraphPoly:
     """Bilinear extension of disjoint union; the empty graph is the unit."""
-    out: dict[bytes, Fraction] = {}
+    out: dict[Key, Fraction] = {}
     for k1, c1 in p._terms.items():
         for k2, c2 in q._terms.items():
-            key = _union_key(k1, k2)
+            key = tuple(sorted(k1 + k2))
             out[key] = out.get(key, _ZERO) + c1 * c2
     return GraphPoly(out)
 
@@ -219,16 +218,20 @@ class GraphTensorPoly(SparseVector):
 
     @classmethod
     def of(cls, g1: HalfEdgeGraph, g2: HalfEdgeGraph, coeff: Scalar = 1) -> "GraphTensorPoly":
-        return cls({(canonical_key(g1), canonical_key(g2)): _frac(coeff)})
+        return cls({(monomial_key(g1), monomial_key(g2)): _frac(coeff)})
 
-    def coeff_pair(self, k1: bytes, k2: bytes) -> Fraction:
+    def written_terms(self) -> list[tuple[tuple[bytes, bytes], Fraction]]:
+        """((written key, written key), coefficient) pairs in sorted order."""
+        return sorted(((written_key(a), written_key(b)), c) for (a, b), c in self._terms.items())
+
+    def coeff_pair(self, k1: Key, k2: Key) -> Fraction:
         return self._terms.get((k1, k2), _ZERO)
 
     def mul(self, other: "GraphTensorPoly") -> "GraphTensorPoly":
         """Componentwise product: (a (x) b)(c (x) d) = (a u c) (x) (b u d)."""
-        out: dict[tuple[bytes, bytes], Fraction] = {}
+        out: dict[tuple[Key, Key], Fraction] = {}
         for (a, b), c1 in self._terms.items():
             for (c, d), c2 in other._terms.items():
-                key = (_union_key(a, c), _union_key(b, d))
+                key = (tuple(sorted(a + c)), tuple(sorted(b + d)))
                 out[key] = out.get(key, _ZERO) + c1 * c2
         return GraphTensorPoly(out)

@@ -11,7 +11,6 @@ import json
 import re
 from fractions import Fraction
 
-from .chords import RawTensor
 from .errors import InvalidInput
 from .graphs import from_json_dict, to_json_dict
 from .poly import GraphPoly, GraphTensorPoly, linear_combination
@@ -42,7 +41,7 @@ def dumps(doc) -> str:
 
 def poly_to_doc(p: GraphPoly) -> list:
     out = []
-    for key, coeff in p.terms():
+    for key, coeff in p.written_terms():
         out.append({"coefficient": frac_to_str(coeff), "graph": json.loads(key.decode("ascii"))})
     return out
 
@@ -57,7 +56,7 @@ def poly_from_doc(doc: list) -> GraphPoly:
 
 def tensor_poly_to_doc(t: GraphTensorPoly) -> list:
     out = []
-    for (k1, k2), coeff in t.terms():
+    for (k1, k2), coeff in t.written_terms():
         out.append(
             {
                 "coefficient": frac_to_str(coeff),
@@ -115,11 +114,3 @@ def invariant_from_doc(doc: dict) -> InvariantTensor:
         key = (blocks, ext)
         terms[key] = terms.get(key, Fraction(0)) + frac_from_str(item.get("coeff"))
     return InvariantTensor(dim, terms)
-
-
-def raw_tensor_to_doc(t: RawTensor) -> dict:
-    return {
-        "dimension": t.dim,
-        "length": t.length,
-        "words": [{"coeff": frac_to_str(c), "word": list(w)} for w, c in t.terms()],
-    }

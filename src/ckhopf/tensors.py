@@ -35,6 +35,7 @@ from .chords import (
 from .errors import (
     DimensionMismatch,
     InhomogeneousInput,
+    InvalidInput,
     NotInLPlus,
     ShapeMismatch,
 )
@@ -107,7 +108,7 @@ def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
         raise ShapeMismatch(f"raw length {f.length} != shape total {shape.total}")
     cuts = list(accumulate(shape.internal, initial=0))
     out: dict[Term, Fraction] = {}
-    for word, c in f.terms():
+    for word, c in f._terms.items():
         term = _cut(word, cuts)
         out[term] = out.get(term, Fraction(0)) + c
     return InvariantTensor(f.dim, out)
@@ -182,6 +183,8 @@ def tensor_delta(t: InvariantTensor, m: int, n: int) -> PairTensor:
     """Coproduct: split blocks and deconcatenate the external monomial, then
     push the left leg through pi_m (indices <= m) and the right leg through
     pi_n (indices > m, shifted down).  Terms with a killed variable vanish."""
+    if m < 0 or n < 0:
+        raise InvalidInput(f"the dimensions m and n must be nonnegative, not {m} and {n}")
     if t.dim != m + n:
         raise DimensionMismatch(f"tensor dimension {t.dim} != m + n = {m + n}")
     out: dict = {}

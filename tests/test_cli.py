@@ -1,15 +1,18 @@
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ckhopf.cli import main
-from ckhopf.corpus import named_graph
+from ckhopf.corpus import named_graph, named_graphs
 from ckhopf.graphs import canonical_key
 from ckhopf.serialize import graph_to_doc, invariant_to_doc
 from ckhopf.tensors import phi
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -46,6 +49,12 @@ def test_enumerate_json(capsys):
     code, out = run(capsys, "enumerate", "--edges", "1", "--connected", "--format", "json")
     assert code == 0
     assert len(json.loads(out)) == 4
+
+
+def test_insert_free_propagator_is_zero(capsys):
+    # used to die with a KeyError traceback (exit 1)
+    for site in ("dot_1", "dumbbell"):
+        assert run(capsys, "insert", site, "freeprop") == (0, "0\n")
 
 
 def test_contract(capsys):
@@ -180,10 +189,106 @@ _graph_fields = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@st.composite
+def _small_graph(draw):
+    """A graph document with at most 2 edges; its external indices may be invalid."""
+    n = draw(st.integers(0, 2))
+    halves = draw(st.permutations(range(2 * n)))
+    where = draw(st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n))
+    vertices = [[h for h, w in zip(halves, where) if w == v] for v in range(4)]
+    vertices = [v for v in vertices if v] + [[]] * draw(st.integers(0, 1))
+    return {
+        "half_edges": list(range(2 * n)),
+        "edges": [list(halves[i : i + 2]) for i in range(0, 2 * n, 2)],
+        "vertices": vertices,
+        "external": draw(st.lists(st.integers(-1, len(vertices)), max_size=2, unique=True)),
+    }
+
+
+_coeff = st.integers(-2, 2) | st.sampled_from(["1/2", "-3/4", "1/0", "x", 0.5, True, None])
+_tensor_doc = st.fixed_dictionaries(
+    {
+        "dimension": st.integers(-1, 3),
+        "terms": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "coeff": _coeff,
+                    "blocks": st.lists(st.lists(st.integers(0, 4), max_size=3), max_size=2),
+                    "external": st.lists(st.integers(0, 4), max_size=2),
+                }
+            ),
+            max_size=3,
+        ),
+    }
+)
+_fuzz = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _exit_code(tmp_path_factory, command, docs, flags=()) -> int:
+    """Exit code of ``ckhopf command FILE... flags`` on the documents, with
+    argparse's usage errors counted as their exit code."""
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, doc in enumerate(docs):
+        paths.append(folder / f"{i}.json")
+        paths[-1].write_text(json.dumps(doc))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main([command, *map(str, paths), *flags])
+        except SystemExit as exc:
+            return exc.code
+
+
+@_fuzz
 @given(_json | _graph_fields)
 def test_aut_arbitrary_json_exits_0_or_2(tmp_path_factory, doc):
-    path = tmp_path_factory.mktemp("fuzz") / "g.json"
-    path.write_text(json.dumps(doc))
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        assert main(["aut", str(path)]) in (0, 2)
+    assert _exit_code(tmp_path_factory, "aut", [doc]) in (0, 2)
+
+
+_graph_doc = (
+    _json
+    | _graph_fields
+    | _small_graph()
+    | st.sampled_from([graph_to_doc(g) for g in named_graphs().values()])
+)
+
+
+@_fuzz
+@given(_graph_doc, _graph_doc)
+@example(graph_to_doc(named_graph("dot_1")), graph_to_doc(named_graph("freeprop")))
+def test_insert_arbitrary_json_exits_0_or_2(tmp_path_factory, doc1, doc2):
+    assert _exit_code(tmp_path_factory, "insert", [doc1, doc2]) in (0, 2)
+
+
+@_fuzz
+@given(_json | _tensor_doc, st.none() | st.integers(-1, 4))
+def test_psi_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, dim):
+    flags = [] if dim is None else ["--dim", str(dim)]
+    assert _exit_code(tmp_path_factory, "psi", [doc], flags) in (0, 2)
+
+
+@_fuzz
+@given(_json | _tensor_doc, st.integers(-1, 3), st.integers(-1, 3))
+def test_delta_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, m, n):
+    flags = ["--m", str(m), "--n", str(n)]
+    assert _exit_code(tmp_path_factory, "delta", [doc], flags) in (0, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--edges", "-1"],
+        ["phi", "loop1", "--dim", "-2"],
+        ["psi", str(GOLDEN / "phi_bubble_3.json"), "--dim", "-1"],
+        ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "-1", "--n", "5"],
+        ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "5", "--n", "-1"],
+        ["verify", "--suite", "grading", "--max-edges", "-1"],
+        ["verify", "--suite", "grading", "--dim", "-1"],
+        ["verify", "--suite", "prelie", "--max-edges", "1", "--prelie-samples", "-1"],
+    ],
+)
+def test_negative_count_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "nonnegative integer" in capsys.readouterr().err

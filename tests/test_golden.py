@@ -1,10 +1,12 @@
-"""CLI JSON outputs pinned byte for byte.
+"""CLI outputs pinned byte for byte.
 
-Each file under ``golden/`` is the ``--format json`` output of one command, as
-printed before the sparse-vector classes were merged into one type.  Comparing
-two runs in one process cannot catch a change of bytes from one version to the
-next; these files can.  A change that alters any of them changes a published
-result and must say so.
+Each ``.json`` file under ``golden/`` is the ``--format json`` output of one
+command and each ``.txt`` file its ``--format text`` output, as printed before
+the basis of H was keyed by connected components; the first eight JSON files
+date from before the sparse-vector classes were merged into one type, and
+``graph_loop_edge_loop.json`` is an input.  Comparing two runs in one process
+cannot catch a change of bytes from one version to the next; these files can.
+A change that alters any of them changes a published result and must say so.
 """
 
 import hashlib
@@ -27,6 +29,15 @@ CASES = {
     "phi_bubble_4.json": ["phi", "bubble", "--dim", "4"],
     "psi_phi_bubble_3.json": ["psi", str(GOLDEN / "phi_bubble_3.json")],
     "delta_bubble_2_2.json": ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "2", "--n", "2"],
+    "antipode_loop_edge_loop.json": ["antipode", str(GOLDEN / "graph_loop_edge_loop.json")],
+}
+
+# ``--format text`` outputs.  The antipode of the loop-edge-loop graph has
+# terms whose order by written graph key differs from their order by tuple of
+# component keys, so these catch a writer that sorts by the wrong key.
+TEXT_CASES = {
+    "antipode_loop_edge_loop.txt": ["antipode", str(GOLDEN / "graph_loop_edge_loop.json")],
+    "star_twoleg_loop1.txt": ["star", "twoleg", "loop1"],
 }
 
 VERIFY_GRADING_SHA256 = "ec5cda02de527676360ee9a0c83d6260a40981f78ed3bfb51930c6d706f0faa9"
@@ -40,6 +51,12 @@ def json_output(capsys, argv):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_json_matches_golden(capsys, name):
     assert json_output(capsys, CASES[name]) == (GOLDEN / name).read_text(encoding="ascii")
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_cli_text_matches_golden(capsys, name):
+    assert main(TEXT_CASES[name] + ["--format", "text"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="ascii")
 
 
 def test_verify_grading_digest(capsys):

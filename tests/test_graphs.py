@@ -7,6 +7,7 @@ from ckhopf.errors import (
     DanglingHalfEdge,
     EmptySubgraph,
     ExternalNotUnivalent,
+    InvalidInput,
     NonPairEdge,
     NotInternalEdge,
     OverlappingPartition,
@@ -269,6 +270,13 @@ def test_enumerate_edge_count_postcondition():
 def test_enumerate_budget():
     with pytest.raises(ResourceBound):
         enumerate_graphs(3, "all", budget=2)
+
+
+def test_enumerate_rejects_bad_arguments():
+    with pytest.raises(InvalidInput):
+        enumerate_graphs(-1)
+    with pytest.raises(InvalidInput):
+        enumerate_graphs(2, "trees")
 
 
 def test_budget_charged_on_cache_hits():

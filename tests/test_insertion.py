@@ -85,3 +85,15 @@ def test_insertion_results_connected(loop1, twoleg):
 
     for g, _ in insertion_product(P(loop1), P(twoleg)).graphs():
         assert is_connected(g)
+
+
+def test_insert_graph_with_edge_between_legs():
+    # the free propagator's one edge joins two external vertices, so no
+    # vertex of it can receive the half-edges of the insertion site
+    freeprop = named_graph("freeprop")
+    for name in ("dot_1", "dumbbell", "dot_2", "bubble"):
+        assert insertion_product(P(named_graph(name)), P(freeprop)).is_zero()
+    dumbbell = named_graph("dumbbell")
+    site = dumbbell.internal_vertices()[0]
+    with pytest.raises(ValencyMismatch):
+        insert_at(dumbbell, site, {site[0]: freeprop.edges[0]}, freeprop)

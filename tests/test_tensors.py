@@ -5,7 +5,7 @@ import pytest
 
 from ckhopf.chords import BlockShape, ChordDiagram, beta
 from ckhopf.corpus import connected_corpus, default_corpus, named_graph
-from ckhopf.errors import DimensionMismatch, InhomogeneousInput, NotInLPlus
+from ckhopf.errors import DimensionMismatch, InhomogeneousInput, InvalidInput, NotInLPlus
 from ckhopf.graphs import disjoint_union, enumerate_by_grade, enumerate_graphs, is_isomorphic
 from ckhopf.insertion import insertion_product
 from ckhopf.poly import GraphPoly, linear_combination
@@ -124,6 +124,14 @@ def test_delta_primitive_on_connected():
             InvariantTensor.unit(3), phi(g, 3)
         )
         assert lhs == rhs, name
+
+
+def test_delta_rejects_negative_dimensions():
+    t = phi(named_graph("loop1"), 2)
+    with pytest.raises(InvalidInput):
+        tensor_delta(t, -1, 3)
+    with pytest.raises(InvalidInput):
+        tensor_delta(t, 3, -1)
 
 
 def test_delta_cross_terms():
