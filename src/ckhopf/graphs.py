@@ -110,6 +110,7 @@ class HalfEdgeGraph:
 
 
 EMPTY_GRAPH = HalfEdgeGraph((), (), (), 0)
+EMPTY_VERTEX = HalfEdgeGraph((), (), (), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +230,9 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 # multiplicities, external flags, empty-vertex count), which is a complete
 # isomorphism invariant: vertices carry no cyclic order, so any matching of
 # vertices and of parallel edge bundles extends to a half-edge isomorphism.
-# The multigraph is canonically ordered by color refinement followed by a
-# minimal-code search over orderings compatible with the color classes.
+# The multigraph is ordered by color refinement, then by a search for the least
+# code over orderings compatible with the color classes, pruned by the
+# automorphisms it finds; the canonical graph is read off that code.
 
 
 def _multigraph(g: HalfEdgeGraph):
@@ -288,116 +290,108 @@ def _refine_classes(V, ext, loops, mult):
     return classes
 
 
-def _canonical_order(V, ext, loops, mult, classes):
-    """Minimal-code vertex ordering and the multigraph automorphism count.
+class _Jump(Exception):
+    """A leaf repeated the best code: unwind to the node at depth ``args[0]``."""
 
-    The code of an ordering lists, per position, (ext flag, loop count, row of
-    multiplicities to earlier positions).  Twin vertices (interchangeable by a
-    transposition automorphism) are collapsed during the search and accounted
-    for by multiplicity.
+
+def _minimal_code(V, ext, loops, mult, classes):
+    """The least code over orderings that place the color classes in turn, and
+    the number of orderings reaching it: the multigraph automorphism count.
+
+    The code lists, per position, (ext flag, loops, multiplicities to earlier
+    positions); the class fixes the first two, so the search compares rows.  A
+    node expands only its least-row candidates and gives up when that row
+    exceeds the best code's.  A candidate in the orbit of an explored sibling
+    under the automorphisms found so far that fix the prefix reuses its
+    result.  Those start as the twin transpositions; a leaf repeating the best
+    code adds ``first[i] -> order[i]`` and unwinds to where the two part.
     """
-    flat_classes = [list(c) for c in classes]
-    best_code: list = []
-    best_count = 0
-
+    gens = []
+    for cell in classes:
+        for i, w in enumerate(cell):
+            for v in cell[:i]:
+                if all(mult[v][x] == mult[w][x] for x in range(V) if x != v and x != w):
+                    gens.append([w if x == v else v if x == w else x for x in range(V)])
+                    break
+    cell_at = [cell for cell in classes for _ in cell]
+    best: list = []  # rows of the least code found; the placed prefix matches it
+    first: list[int] = []  # the first ordering that reached ``best``
     order: list[int] = []
 
-    def twin_groups(cands):
-        groups: list[list[int]] = []
-        for v in cands:
-            for grp in groups:
-                w = grp[0]
-                if (
-                    loops[v] == loops[w]
-                    and ext[v] == ext[w]
-                    and all(mult[v][x] == mult[w][x] for x in range(V) if x != v and x != w)
-                ):
-                    grp.append(v)
-                    break
-            else:
-                groups.append([v])
-        return groups
-
-    def rec(ci, remaining, multiplicity):
-        # invariant: the placed prefix equals best_code[:len(order)]
-        nonlocal best_count
-        if not remaining:
-            nci = ci + 1
-            while nci < len(flat_classes) and not flat_classes[nci]:
-                nci += 1
-            if nci == len(flat_classes):
-                best_count += multiplicity
-                return
-            rec(nci, list(flat_classes[nci]), multiplicity)
-            return
+    def rec(rows: dict[int, tuple]):
+        # rows: unplaced vertex of the class -> multiplicities to the prefix
         pos = len(order)
-        for grp in twin_groups(remaining):
-            v = grp[0]
-            entry = (ext[v], loops[v], tuple(mult[v][order[p]] for p in range(pos)))
-            if pos < len(best_code):
-                if entry > best_code[pos]:
-                    continue
-                if entry < best_code[pos]:
-                    del best_code[pos:]
-                    best_code.append(entry)
-                    best_count = 0
-            else:
-                best_code.append(entry)
-            order.append(v)
-            rec(ci, [x for x in remaining if x != v], multiplicity * len(grp))
-            order.pop()
+        if pos == V:
+            if not first:
+                first.extend(order)
+                return tuple(best), 1
+            image = dict(zip(first, order))
+            gens.append([image[x] for x in range(V)])
+            raise _Jump(next(i for i in range(V) if first[i] != order[i]))
+        rows = rows or {v: tuple([mult[v][u] for u in order]) for v in cell_at[pos]}
+        low = min(rows.values())
+        if pos < len(best) and low > best[pos]:
+            return tuple(best), 0
+        if pos < len(best) and low < best[pos]:
+            del best[pos:]
+            first.clear()
+        if pos == len(best):
+            best.append(low)
+        results: dict[int, tuple[tuple, int]] = {}  # candidate -> (code, count)
+        orbit: dict[int, int] = {}  # union-find forest of the orbits
+        used = 0  # automorphisms already merged into ``orbit``
+        for v in [v for v, row in rows.items() if row == low]:
+            s = None
+            if results:
+                for g in gens[used:]:
+                    if all(g[u] == u for u in order):
+                        for x in rows:
+                            orbit[_root(orbit, x)] = _root(orbit, g[x])
+                used = len(gens)
+                root = _root(orbit, v)
+                s = next((s for s in results if _root(orbit, s) == root), None)
+            if s is None:
+                order.append(v)
+                try:
+                    results[v] = rec({w: row + (mult[w][v],) for w, row in rows.items() if w != v})
+                except _Jump as jump:
+                    if jump.args[0] != pos:
+                        raise
+                    del order[pos + 1:]
+                    s = first[pos]
+                order.pop()
+            if s is not None:
+                results[v] = results[s]
+        code = tuple(best)
+        return code, sum([count for c, count in results.values() if c == code])
 
-    if V == 0:
-        return [], 1
-    first = 0
-    while first < len(flat_classes) and not flat_classes[first]:
-        first += 1
-    rec(first, list(flat_classes[first]), 1)
-
-    # Recover the vertex order that realizes best_code deterministically.
-    result: list[int] = []
-
-    def rebuild(ci, remaining):
-        if not remaining:
-            nci = ci + 1
-            while nci < len(flat_classes) and not flat_classes[nci]:
-                nci += 1
-            if nci == len(flat_classes):
-                return True
-            return rebuild(nci, list(flat_classes[nci]))
-        pos = len(result)
-        for v in sorted(remaining):
-            entry = (ext[v], loops[v], tuple(mult[v][result[p]] for p in range(pos)))
-            if entry == best_code[pos]:
-                result.append(v)
-                if rebuild(ci, [x for x in remaining if x != v]):
-                    return True
-                result.pop()
-        return False
-
-    rebuild(first, list(flat_classes[first]))
-    return result, best_count
+    count = rec({})[1]
+    return [(ext[v], loops[v], row) for v, row in zip(first, best)], count
 
 
-def _rebuild_canonical(order, ext, loops, mult, n_empty) -> HalfEdgeGraph:
-    V = len(order)
-    pos_ext = [ext[v] for v in order]
-    pos_loops = [loops[v] for v in order]
-    pos_mult = [[mult[order[i]][order[j]] for j in range(V)] for i in range(V)]
+def _root(parent: dict[int, int], x: int) -> int:
+    """The root of x in a union-find forest; a vertex absent from it is a root."""
+    while parent.get(x, x) != x:
+        x = parent[x]
+    return x
+
+
+def _rebuild_canonical(code, n_empty) -> HalfEdgeGraph:
+    """The graph of a code: position i is vertex i, edges go in sorted order."""
     slots: list[tuple[int, int]] = []
-    for i in range(V):
-        slots.extend([(i, i)] * pos_loops[i])
-        for j in range(i + 1, V):
-            slots.extend([(i, j)] * pos_mult[i][j])
+    for i, (_, n_loops, row) in enumerate(code):
+        slots.extend([(i, i)] * n_loops)
+        for j, m in enumerate(row):
+            slots.extend([(j, i)] * m)
     slots.sort()
     edges = []
-    members: list[list[int]] = [[] for _ in range(V)]
+    members: list[list[int]] = [[] for _ in code]
     for t, (u, v) in enumerate(slots):
         a, b = 2 * t, 2 * t + 1
         edges.append((a, b))
         members[u].append(a)
         members[v].append(b)
-    external = tuple(sorted(members[i][0] for i in range(V) if pos_ext[i]))
+    external = tuple(sorted(members[i][0] for i, entry in enumerate(code) if entry[0]))
     return HalfEdgeGraph(
         edges=tuple(edges),
         vertices=tuple(sorted(tuple(sorted(m)) for m in members)),
@@ -461,8 +455,8 @@ def from_json_dict(doc: dict) -> HalfEdgeGraph:
 def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
     V, ext, loops, mult = _multigraph(g)
     classes = _refine_classes(V, ext, loops, mult)
-    order, aut_mg = _canonical_order(V, ext, loops, mult, classes)
-    canon = _rebuild_canonical(order, ext, loops, mult, g.n_empty)
+    code, aut_mg = _minimal_code(V, ext, loops, mult, classes)
+    canon = _rebuild_canonical(code, g.n_empty)
     key = json.dumps(to_json_dict(canon), separators=(",", ":")).encode("ascii")
     aut = aut_mg
     for i in range(V):
@@ -628,7 +622,7 @@ def connected_components(g: HalfEdgeGraph) -> list[HalfEdgeGraph]:
         edges = [e for e in g.edges if e[0] in halves]
         external = [h for h in halves if h in ext_set]
         comps.append(_normalize_surviving(edges, vertices, external, 0))
-    comps.extend([HalfEdgeGraph((), (), (), 1)] * g.n_empty)
+    comps.extend([EMPTY_VERTEX] * g.n_empty)
     return sorted(comps, key=canonical_key)
 
 

@@ -20,9 +20,11 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 
-from .errors import WindowTooSmall
+from .errors import InvalidInput, WindowTooSmall
 from .graphs import (
+    EMPTY_VERTEX,
     automorphism_count,
+    canonical_key,
     contract_subgraph,
     extract_subgraph,
     monomial_key,
@@ -211,7 +213,16 @@ def star_product(a: GraphPoly, b: GraphPoly, edge_bound: int | None = None) -> G
 
     ``edge_bound`` defaults to the largest total degree of a support pair; a
     smaller bound that truncates required degrees raises WindowTooSmall.
+
+    An argument with an empty vertex raises InvalidInput.  The scan draws no
+    candidate with an empty vertex, and the identity a * b = a u b + b o a
+    cannot hold there: with the default subgraph range no coproduct term is
+    G (x) (G with its edges contracted), which pairs with inserting G into an
+    empty vertex, so for instance loop1 * (empty vertex) would miss loop1.
     """
+    vertex = canonical_key(EMPTY_VERTEX)
+    if any(vertex in key for p in (a, b) for key in p._terms):
+        raise InvalidInput("the star product is not defined on graphs with an empty vertex")
     pairs = [(ka, ca, kb, cb) for ka, ca in a.terms() for kb, cb in b.terms()]
     needed = max((grade_of(ka).n + grade_of(kb).n for ka, _, kb, _ in pairs), default=0)
     if edge_bound is None:

@@ -1,0 +1,126 @@
+"""Canonical labelling: pinned keys, closed-form |Aut| and an independent cross-check.
+
+Every basis key of H is a canonical key, so the keys themselves are pinned by a
+hash, and |Aut| is checked against closed forms and, where networkx is
+installed, against its VF2 matcher on the simple graphs.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from ckhopf.graphs import (
+    automorphism_count,
+    canonical_key,
+    enumerate_graphs,
+    graph,
+    relabel,
+)
+
+
+def _simple_graph(n_vertices, edges, legs=()):
+    """Half-edge form of a simple graph, with one leg per vertex in ``legs``."""
+    halves = [[] for _ in range(n_vertices)]
+    pairs, leg_ends = [], []
+    h = 0
+    for u, v in edges:
+        halves[u].append(h)
+        halves[v].append(h + 1)
+        pairs.append((h, h + 1))
+        h += 2
+    for u in legs:
+        halves[u].append(h)
+        pairs.append((h, h + 1))
+        leg_ends.append(h + 1)
+        h += 2
+    return graph(pairs, [tuple(v) for v in halves] + [(e,) for e in leg_ends], leg_ends)
+
+
+def _cycle_edges(n, offset=0):
+    return [(offset + i, offset + (i + 1) % n) for i in range(n)]
+
+
+def _prism_edges(n):
+    return _cycle_edges(n) + _cycle_edges(n, n) + [(i, n + i) for i in range(n)]
+
+
+def _cube_edges(d):
+    return [(i, i ^ (1 << b)) for i in range(2**d) for b in range(d) if i < i ^ (1 << b)]
+
+
+def _petersen_edges():
+    return (
+        _cycle_edges(5)
+        + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        + [(i, 5 + i) for i in range(5)]
+    )
+
+
+# (name, vertex count, edges, one leg per vertex, |Aut| in closed form)
+FAMILY = (
+    [(f"C{n}", n, _cycle_edges(n), False, 2 * n) for n in (*range(8, 13), 16)]
+    + [(f"prism{n}", 2 * n, _prism_edges(n), False, 4 * n) for n in (5, 6, 8)]
+    + [("Q3", 8, _cube_edges(3), False, 48), ("Q4", 16, _cube_edges(4), False, 384)]
+    + [("petersen", 10, _petersen_edges(), False, 120)]
+    + [(f"C{n}+legs", n, _cycle_edges(n), True, 2 * n) for n in (5, 6, 7, 10)]
+)
+
+
+# The symmetric family of the canonicalization benchmark, one leg per vertex
+# on the small cycles.
+SYMMETRIC_FAMILY = (
+    [_simple_graph(n, _cycle_edges(n)) for n in range(8, 13)]
+    + [_simple_graph(2 * n, _prism_edges(n)) for n in (5, 6)]
+    + [_simple_graph(8, _cube_edges(3)), _simple_graph(10, _petersen_edges())]
+    + [_simple_graph(n, _cycle_edges(n), legs=range(n)) for n in range(5, 8)]
+)
+
+
+def _relabelled(g, rng):
+    perm = list(range(g.n_half_edges))
+    rng.shuffle(perm)
+    return relabel(g, dict(enumerate(perm)))
+
+
+# sha256 of the sorted (canonical key, |Aut|) pairs of a seeded relabelling of
+# every class with at most 5 edges and of every member of the symmetric family,
+# captured before the minimal-code search was rewritten: the keys of H, and so
+# every output, must not move.
+PINNED_SHA256 = "4bd3ad6638439ffc55729a4a0f79940feebd3b09abb56803c56699d09cdf783d"
+
+
+def test_keys_and_automorphism_counts_are_pinned():
+    rng = random.Random(2012)
+    pool = [g for n in range(6) for g in enumerate_graphs(n, "all")] + SYMMETRIC_FAMILY
+    assert len(pool) == 1519 + 12
+    pool = [_relabelled(g, rng) for g in pool]
+    lines = sorted(
+        canonical_key(g).decode("ascii") + " " + str(automorphism_count(g)) for g in pool
+    )
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == PINNED_SHA256
+
+
+@pytest.mark.parametrize("name,n_vertices,edges,legs,aut", FAMILY, ids=[f[0] for f in FAMILY])
+def test_closed_form_automorphism_counts(name, n_vertices, edges, legs, aut):
+    g = _simple_graph(n_vertices, edges, legs=range(n_vertices) if legs else ())
+    rng = random.Random(n_vertices)
+    keys = set()
+    for _ in range(3):
+        h = _relabelled(g, rng)
+        assert automorphism_count(h) == aut
+        keys.add(canonical_key(h))
+    assert len(keys) == 1
+
+
+def test_automorphism_counts_match_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    for name, n_vertices, edges, legs, aut in FAMILY:
+        if legs:
+            continue
+        simple = nx.Graph(edges)
+        count = sum(1 for _ in GraphMatcher(simple, simple).isomorphisms_iter())
+        assert count == automorphism_count(_simple_graph(n_vertices, edges)) == aut, name

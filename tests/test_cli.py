@@ -274,6 +274,48 @@ def test_delta_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, m, n):
     assert _exit_code(tmp_path_factory, "delta", [doc], flags) in (0, 2)
 
 
+_small_doc = _json | _graph_fields | _small_graph()
+# loop1 beside an empty vertex: ``star`` on it used to print 0 with exit 0
+_loop_and_vertex = {
+    "half_edges": [0, 1], "edges": [[0, 1]], "vertices": [[0, 1], []], "external": []
+}
+
+
+def test_star_with_empty_vertex_exits_2(tmp_path_factory):
+    assert _exit_code(tmp_path_factory, "star", [_loop_and_vertex] * 2) == 2
+
+
+@_fuzz
+@given(_small_doc, _small_doc, st.none() | st.integers(-1, 4))
+@example(_loop_and_vertex, _loop_and_vertex, None)
+def test_star_arbitrary_json_exits_0_or_2(tmp_path_factory, doc1, doc2, bound):
+    flags = [] if bound is None else ["--edge-bound", str(bound)]
+    assert _exit_code(tmp_path_factory, "star", [doc1, doc2], flags) in (0, 2)
+
+
+@_fuzz
+@given(_small_doc, st.booleans())
+def test_coproduct_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, full):
+    flags = ["--full-subgraph-term"] if full else []
+    assert _exit_code(tmp_path_factory, "coproduct", [doc], flags) in (0, 2)
+
+
+@_fuzz
+@given(_small_doc)
+def test_antipode_arbitrary_json_exits_0_or_2(tmp_path_factory, doc):
+    assert _exit_code(tmp_path_factory, "antipode", [doc]) in (0, 2)
+
+
+_pair = st.lists(st.integers(-1, 4) | st.booleans() | st.none(), max_size=3)
+_edges = st.text("0123-,[] ", max_size=8) | st.lists(_pair, max_size=3).map(json.dumps)
+
+
+@_fuzz
+@given(_small_doc, _edges)
+def test_contract_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, edges):
+    assert _exit_code(tmp_path_factory, "contract", [doc], ["--edges", edges]) in (0, 2)
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -5,8 +5,9 @@ import pytest
 
 from ckhopf import hopf
 from ckhopf.corpus import connected_corpus, named_graph
-from ckhopf.errors import WindowTooSmall
+from ckhopf.errors import InvalidInput, WindowTooSmall
 from ckhopf.graphs import (
+    EMPTY_VERTEX,
     disjoint_union,
     dot_graph,
     enumerate_graphs,
@@ -161,6 +162,21 @@ def test_star_unit():
 def test_star_window_too_small(twoleg, loop1):
     with pytest.raises(WindowTooSmall):
         hopf.star_product(P(twoleg), P(loop1), edge_bound=3)
+
+
+def test_star_rejects_empty_vertices(loop1):
+    # used to return a silent 0: the candidate scan never meets an empty vertex
+    vertex, with_vertex = P(EMPTY_VERTEX), P(disjoint_union(loop1, EMPTY_VERTEX))
+    for a, b in [(vertex, P(loop1)), (P(loop1), vertex), (with_vertex, with_vertex)]:
+        with pytest.raises(InvalidInput):
+            hopf.star_product(a, b)
+        with pytest.raises(InvalidInput):
+            hopf.star_product(a + P(loop1), b)
+    # no value makes a * b = a u b + b o a hold on both orders of these
+    # arguments: inserting loop1 into the empty vertex gives loop1, while no
+    # coproduct term of the default range pairs with it
+    assert insertion_product(vertex, P(loop1)) == P(loop1)
+    assert insertion_product(P(loop1), vertex).is_zero()
 
 
 def test_star_leading_term_drops_components():
