@@ -4,7 +4,7 @@ Each ``.json`` file under ``golden/`` is the ``--format json`` output of one
 command and each ``.txt`` file its ``--format text`` output, as printed before
 the basis of H was keyed by connected components; the first eight JSON files
 date from before the sparse-vector classes were merged into one type, and
-``graph_loop_edge_loop.json`` is an input.  Comparing two runs in one process
+``graph_loop_edge_loop.json`` and ``graph_loop1_twoleg.json`` are inputs.  Comparing two runs in one process
 cannot catch a change of bytes from one version to the next; these files can.
 A change that alters any of them changes a published result and must say so.
 """
@@ -16,7 +16,10 @@ import pytest
 
 from ckhopf import hopf
 from ckhopf.cli import main
+from ckhopf.corpus import connected_corpus, named_graph
+from ckhopf.graphs import disjoint_union
 from ckhopf.poly import GraphPoly
+from ckhopf.serialize import dumps, poly_to_doc
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -30,6 +33,8 @@ CASES = {
     "psi_phi_bubble_3.json": ["psi", str(GOLDEN / "phi_bubble_3.json")],
     "delta_bubble_2_2.json": ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "2", "--n", "2"],
     "antipode_loop_edge_loop.json": ["antipode", str(GOLDEN / "graph_loop_edge_loop.json")],
+    "star_twoleg_twoleg.json": ["star", "twoleg", "twoleg"],
+    "star_loop1_twoleg_twoleg.json": ["star", str(GOLDEN / "graph_loop1_twoleg.json"), "twoleg"],
 }
 
 # ``--format text`` outputs.  The antipode of the loop-edge-loop graph has
@@ -41,6 +46,10 @@ TEXT_CASES = {
 }
 
 VERIFY_GRADING_SHA256 = "ec5cda02de527676360ee9a0c83d6260a40981f78ed3bfb51930c6d706f0faa9"
+
+# sha256 of the JSON documents of star_product(a, b), one line per ordered
+# pair, over the connected classes with at most 2 edges and two unions.
+STAR_TABLE_SHA256 = "72f2f4f8b29086983319e97ca18421e652efd0b4ca60a9bf81685f93e9504b39"
 
 
 def json_output(capsys, argv):
@@ -62,6 +71,19 @@ def test_cli_text_matches_golden(capsys, name):
 def test_verify_grading_digest(capsys):
     out = json_output(capsys, ["verify", "--suite", "grading", "--max-edges", "3"])
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_GRADING_SHA256
+
+
+def test_star_table_digest():
+    loop1, twoleg = named_graph("loop1"), named_graph("twoleg")
+    graphs = list(connected_corpus(2, plus=False))
+    graphs += [disjoint_union(loop1, loop1), disjoint_union(twoleg, loop1)]
+    lines = [
+        dumps(poly_to_doc(hopf.star_product(GraphPoly.from_graph(a), GraphPoly.from_graph(b))))
+        for a in graphs
+        for b in graphs
+    ]
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == STAR_TABLE_SHA256
 
 
 def test_cached_coproduct_not_mutated(bubble):

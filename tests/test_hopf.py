@@ -283,6 +283,37 @@ def test_star_wide_window_cross_check():
     unions = [disjoint_union(loop1, loop1), disjoint_union(twoleg, loop1)]
     for g1, g2 in [(loop1, unions[1]), (unions[0], twoleg), (unions[1], loop1), (twoleg, unions[0])]:
         assert star_wide(g1, g2) == hopf.star_product(P(g1), P(g2))
+    # tadpole2 goes into a 1-valent vertex, so two of them can share one
+    # dumbbell or split across two; loop1, twoloop and the graphs without
+    # internal edges can only be taken whole
+    tad, dumb, twoloop = named_graph("tadpole2"), named_graph("dumbbell"), named_graph("twoloop")
+    dot_1, dot_2, freeprop = named_graph("dot_1"), named_graph("dot_2"), named_graph("freeprop")
+    tad2, dumb2 = disjoint_union(tad, tad), disjoint_union(dumb, dumb)
+    pairs = [
+        (unions[0], unions[1]),
+        (tad2, dumb),
+        (tad2, dumb2),
+        (tad, dumb2),
+        (disjoint_union(twoloop, tad), dumb),
+        (disjoint_union(twoloop, loop1), twoleg),
+        (dot_1, twoleg),
+        (twoleg, dot_2),
+        (freeprop, dumb),
+        (tad, freeprop),
+        (dot_2, disjoint_union(tad, dumb)),
+    ]
+    for g1, g2 in pairs:
+        assert star_wide(g1, g2) == hopf.star_product(P(g1), P(g2))
+
+
+def test_subgraph_parts_of_proper_coproduct_terms_have_legs():
+    # a proper subgraph of a connected graph leaves a dangling half-edge on
+    # each of its components, so a part without legs is never a subgraph leg
+    for n in range(1, 6):
+        for g in enumerate_graphs(n, "connected"):
+            for (a, b), _ in hopf._coproduct_connected(K(g)[0], False).terms():
+                if a and b:
+                    assert all(grade_of((part,)).k for part in a), (g, a)
 
 
 def test_star_associative_through_disconnected_intermediates():
