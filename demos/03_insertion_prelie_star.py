@@ -19,8 +19,8 @@ print("  loop1 o twoleg == 2 * bubble:", insertion.insertion_product(loop1, twol
 print("  twoleg o loop1 == 0 (no 0-valent site):", insertion.insertion_product(twoleg, loop1).is_zero())
 print()
 
-print("The star product is computed from the coproduct alone, over a graded")
-print("window of candidate graphs; inserting is never consulted:")
+print("The star product is computed from the coproduct alone, whose")
+print("multiplicativity gives the candidate graphs; inserting is never consulted:")
 star = hopf.star_product(twoleg, loop1)
 for key, c in star.written_terms():
     print("  ", c, "*", graph_from_key(key).grade())

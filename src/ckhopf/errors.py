@@ -42,7 +42,7 @@ class ResourceBound(CKHopfError):
 
 
 class WindowTooSmall(CKHopfError):
-    """The requested star-product edge bound truncates required degrees."""
+    """The requested star-product edge bound is below the total degree."""
 
 
 class ValencyMismatch(CKHopfError):

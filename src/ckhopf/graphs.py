@@ -831,9 +831,9 @@ def enumerate_by_grade(
     return _union_classes(_monomials(n, _Budget(budget)).get((m, k), []))
 
 
-def monomials_by_grade(n: int, m: int, k: int) -> list[tuple[bytes, ...]]:
-    """The monomial keys of ``enumerate_by_grade(n, m, k)``, with no union canonicalized."""
-    return _monomials(n, _Budget(None)).get((m, k), [])
+def connected_by_grade(m: int, k: int) -> list[HalfEdgeGraph]:
+    """The connected classes of grade (m + k, m, k), for m >= 1."""
+    return _connected_with_legs(m, k, _Budget(None))
 
 
 def _union_classes(monomials: Iterable[tuple[bytes, ...]]) -> list[HalfEdgeGraph]:

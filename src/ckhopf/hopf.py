@@ -9,7 +9,7 @@ gamma ranges over the nonempty proper subsets of the internal edges;
 The star product is the dual of the coproduct under the pairing weighted by
 automorphism counts: |Aut G| <a * b, G> = sum over coproduct terms of
 |Aut| -weighted matches of a against the subgraph leg and b against the
-quotient leg.  It is computed inside finite graded windows.
+quotient leg.  Its candidates G come from the coproduct being multiplicative.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from .graphs import (
     EMPTY_VERTEX,
     automorphism_count,
     canonical_key,
+    connected_by_grade,
     contract_subgraph,
     extract_subgraph,
     monomial_key,
-    monomials_by_grade,
 )
 from .poly import (
     EMPTY_KEY,
@@ -150,75 +150,71 @@ def _aut_key(key: Key) -> int:
 
 
 @lru_cache(maxsize=None)
-def _subgraph_matches(part: bytes, size: int, legs: int) -> Counter:
-    """Multiplicities of (extract key, quotient key) pairs over the proper
-    subgraphs of a connected graph with ``size`` edges and ``legs`` dangling
-    half-edges.  Cheap leg counting prunes before any canonicalization."""
-    g = graph_from_key(part)
-    internal = g.internal_edges()
-    counts: Counter = Counter()
-    if not 0 < size < len(internal):
-        return counts
-    vert_of = g.vertex_of()
-    for gamma in itertools.combinations(internal, size):
-        halves = {h for e in gamma for h in e}
-        touched = {vert_of[h] for h in halves}
-        if sum(len(g.vertices[vi]) for vi in touched) - 2 * size == legs:
-            pair = (
-                monomial_key(extract_subgraph(g, gamma)),
-                monomial_key(contract_subgraph(g, gamma)),
-            )
-            counts[pair] += 1
-    return counts
+def _cofactors(m: int, k: int, size: int, legs: int) -> dict[tuple[Key, Key], list]:
+    """(subgraph key, quotient key) -> [(G, multiplicity)] over the proper
+    subgraphs with ``size`` internal edges and ``legs`` dangling half-edges of
+    the connected classes G of grade (m + k, m, k).  Every part of such a
+    subgraph has a leg, so ``legs == 0`` has none; counting legs prunes early."""
+    index: dict[tuple[Key, Key], list] = {}
+    if legs == 0 or not 0 < size < m:
+        return index
+    for g in connected_by_grade(m, k):
+        vert_of = g.vertex_of()
+        counts: Counter = Counter()
+        for gamma in itertools.combinations(g.internal_edges(), size):
+            touched = {vert_of[h] for e in gamma for h in e}
+            if sum(len(g.vertices[vi]) for vi in touched) - 2 * size == legs:
+                extracted, quotient = extract_subgraph(g, gamma), contract_subgraph(g, gamma)
+                counts[monomial_key(extracted), monomial_key(quotient)] += 1
+        for pair, mult in counts.items():
+            index.setdefault(pair, []).append((canonical_key(g), mult))
+    return index
 
 
 @lru_cache(maxsize=None)
 def _star_basis(ka: Key, kb: Key) -> GraphPoly:
-    """Star product of two basis monomials over the full graded window.
+    """Star product of two basis monomials, read off the coproduct.
 
-    Candidates are drawn by grade: the internal edge count of any candidate is
-    m_a + m_b (the coproduct has internal-edge degree zero), the external count
-    lies between k_b and k_a + k_b, and the edge count between n_b + m_a and
-    n_a + n_b, intersected with the total-degree window [ceil((n_a+n_b)/3), ..].
+    A term ka (x) kb of the coproduct of a monomial G is a product of one term
+    per part of G, and the quotient of a connected graph is connected.  So G
+    is some parts of ka taken whole times, for each part b of kb, one
+    connected G_b: b itself when no part of ka is sent to b, else a graph with
+    gamma (x) b a proper term of its coproduct, gamma being the parts sent.
     """
     if ka == EMPTY_KEY:
         return GraphPoly({kb: Fraction(1)})
     if kb == EMPTY_KEY:
         return GraphPoly({ka: Fraction(1)})
-    gra, grb = grade_of(ka), grade_of(kb)
-    total = gra.n + grb.n
     aut_ab = _aut_key(ka) * _aut_key(kb)
-    low = max(grb.n + gra.m, -(-total // 3))
-    parts_a = set(ka)
     out: dict[Key, Fraction] = {}
-    for n in range(low, total + 1):
-        for k in range(grb.k, gra.k + grb.k + 1):
-            for cand in monomials_by_grade(n, gra.m + grb.m, k):
-                if len(cand) == 1:
-                    mult = _subgraph_matches(cand[0], gra.m, gra.k)[ka, kb]
-                # Each part of a candidate either goes whole into the subgraph
-                # leg, as a part of ka, or gives exactly one part of kb.
-                elif 0 <= len(cand) - len(kb) <= sum(p in parts_a for p in cand):
-                    mult = _coproduct_graph(cand, False).coeff_pair(ka, kb)
-                else:
-                    continue
-                if mult:
-                    coeff = Fraction(mult * aut_ab, _aut_key(cand))
-                    out[cand] = out.get(cand, Fraction(0)) + coeff
+    for assign in itertools.product(range(len(kb) + 1), repeat=len(ka)):
+        sent = [tuple(p for p, j in zip(ka, assign) if j == i) for i in range(len(kb) + 1)]
+        choices = []
+        for gamma, b in zip(sent, kb):
+            gr, grb = grade_of(gamma), grade_of((b,))
+            index = _cofactors(gr.m + grb.m, grb.k, gr.m, gr.k)
+            choices.append(index.get((gamma, (b,)), []) if gamma else [(b, 1)])
+        for picks in itertools.product(*choices):
+            cand = tuple(sorted(sent[-1] + tuple(g for g, _ in picks)))
+            if cand not in out:
+                # a connected candidate is one G_b, and its index entry is the coefficient
+                single = len(cand) == 1
+                mult = picks[0][1] if single else _coproduct_graph(cand, False).coeff_pair(ka, kb)
+                out[cand] = Fraction(mult * aut_ab, _aut_key(cand))
     return GraphPoly(out)
 
 
 def star_product(a: GraphPoly, b: GraphPoly, edge_bound: int | None = None) -> GraphPoly:
-    """Dual product on the window of graphs with at most ``edge_bound`` edges.
+    """The product dual to the coproduct, with every term.
 
-    ``edge_bound`` defaults to the largest total degree of a support pair; a
-    smaller bound that truncates required degrees raises WindowTooSmall.
+    ``edge_bound`` truncates nothing, as no term has more edges than its pair;
+    a bound below the largest total degree of a support pair raises WindowTooSmall.
 
-    An argument with an empty vertex raises InvalidInput.  The scan draws no
-    candidate with an empty vertex, and the identity a * b = a u b + b o a
-    cannot hold there: with the default subgraph range no coproduct term is
-    G (x) (G with its edges contracted), which pairs with inserting G into an
-    empty vertex, so for instance loop1 * (empty vertex) would miss loop1.
+    An argument with an empty vertex raises InvalidInput.  The identity
+    a * b = a u b + b o a cannot hold there: with the default subgraph range
+    no coproduct term is G (x) (G with its edges contracted), which pairs with
+    inserting G into an empty vertex, so for instance loop1 * (empty vertex)
+    would miss loop1.
     """
     vertex = canonical_key(EMPTY_VERTEX)
     if any(vertex in key for p in (a, b) for key in p._terms):

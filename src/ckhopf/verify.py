@@ -25,7 +25,6 @@ from .graphs import (
     dot_graph,
     enumerate_graphs,
     free_propagator,
-    is_isomorphic,
     monomial_key,
     to_json_dict,
 )
@@ -116,6 +115,7 @@ class _Runner:
             check = CheckResult(name, False, details=details, gating=gating)
         check.elapsed = time.perf_counter() - t0
         self.report.checks.append(check)
+        return check
 
 
 def _all_classes(max_edges: int) -> list[HalfEdgeGraph]:
@@ -178,11 +178,10 @@ def _check_antipode_axiom(graphs):
 
 
 def _check_pairing_orthogonality(graphs):
-    for g1 in graphs:
-        for g2 in graphs:
-            want = Fraction(1 if is_isomorphic(g1, g2) else 0)
-            got = hopf.pairing(GraphPoly.from_graph(g1), GraphPoly.from_graph(g2))
-            if got != want:
+    keyed = [(g, canonical_key(g), GraphPoly.from_graph(g)) for g in graphs]
+    for g1, k1, p1 in keyed:
+        for g2, k2, p2 in keyed:
+            if hopf.pairing(p1, p2) != Fraction(k1 == k2):
                 return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
     return None
 
@@ -630,8 +629,9 @@ def _check_psi_phi(graphs, dims: int):
 
 
 def _check_phi_psi(graphs, dim: int):
+    # psi is 0 on bigrade N > dim by definition, so only N <= dim can round trip
     for g in graphs:
-        if g.n_empty:
+        if g.n_empty or len(g.edges) > dim:
             continue
         t = phi(g, dim)
         if phi_poly(psi(t), dim) != t:
@@ -652,7 +652,10 @@ def _check_projection_naturality(graphs, dim: int):
 def _suite_roundtrip(r: _Runner, max_edges: int, dim: int, **_):
     graphs = list(default_corpus(max_edges))
     r.run("psi-phi-identity", lambda: _check_psi_phi(graphs, max(dim, 4)))
-    r.run("phi-psi-identity-on-image", lambda: _check_phi_psi(graphs, dim))
+    check = r.run("phi-psi-identity-on-image", lambda: _check_phi_psi(graphs, dim))
+    skipped = sum(len(g.edges) > dim for g in graphs)
+    if skipped and not check.details:
+        check.details = f"skipped {skipped} graphs with more edges than dim {dim}"
     r.run("projection-naturality", lambda: _check_projection_naturality(graphs, dim))
 
 

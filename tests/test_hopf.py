@@ -254,7 +254,7 @@ def test_duality_pairing_concrete(twoleg, loop1, bubble):
 
 
 def test_star_wide_window_cross_check():
-    # recompute star over a wider grade box; the pruned window must agree
+    # recompute star over a wide grade box; the generated candidates must agree
     from ckhopf.graphs import automorphism_count, enumerate_by_grade
 
     def star_wide(ga, gb):

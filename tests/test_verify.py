@@ -1,6 +1,9 @@
 import json
 
+from ckhopf import verify
+from ckhopf.graphs import graph
 from ckhopf.serialize import dumps
+from ckhopf.tensors import phi
 from ckhopf.verify import run_suite, suite_names
 
 
@@ -65,3 +68,17 @@ def test_unexpected_exception_fails_only_its_check(monkeypatch):
     assert not by_name["counit-axiom"].passed
     assert all(c.passed for name, c in by_name.items() if name != "counit-axiom")
     assert not rep.passed
+
+
+def test_phi_psi_on_image_skips_graphs_above_the_dimension():
+    # psi is 0 on bigrade N > n by definition, while phi(rose5, 4) is not
+    rose5 = graph(edges=[(2 * i, 2 * i + 1) for i in range(5)], vertices=[tuple(range(10))])
+    assert not phi(rose5, 4).is_zero()
+    assert verify._check_phi_psi([rose5], 4) is None
+
+
+def test_roundtrip_reports_skipped_graphs():
+    rep = run_suite("roundtrip", max_edges=2, dim=1)
+    assert rep.passed
+    check = next(c for c in rep.checks if c.name == "phi-psi-identity-on-image")
+    assert check.details == "skipped 20 graphs with more edges than dim 1"
