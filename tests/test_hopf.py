@@ -332,3 +332,37 @@ def test_star_associative_through_disconnected_intermediates():
         left = hopf.star_product(hopf.star_product(a, b), c)
         right = hopf.star_product(a, hopf.star_product(b, c))
         assert left == right, names
+
+
+def test_star_basis_coefficients_match_the_coproduct():
+    # independent reference: each term G of ka * kb must carry the coefficient
+    # of ka (x) kb in the multiplied-out coproduct of G, weighted by |Aut|
+    rng = random.Random(5)
+    parts = [K(g)[0] for g in connected_corpus(2, plus=False)]
+
+    def edges(key):
+        return grade_of(key).n
+
+    pairs = []
+    while len(pairs) < 40:
+        ka = tuple(sorted(rng.choice(parts) for _ in range(rng.randint(1, 3))))
+        kb = tuple(sorted(rng.choice(parts) for _ in range(rng.randint(1, 2))))
+        if edges(ka) + edges(kb) <= 5:
+            pairs.append((ka, kb))
+    # repeated parts on either side, and parts of ka split across parts of kb
+    tad, dumb, loop1, twoleg = (named_graph(n) for n in ("tadpole2", "dumbbell", "loop1", "twoleg"))
+    for ga, gb in [
+        (disjoint_union(tad, tad), dumb),
+        (disjoint_union(tad, tad), disjoint_union(dumb, dumb)),
+        (tad, disjoint_union(dumb, dumb)),
+        (disjoint_union(loop1, loop1), disjoint_union(twoleg, twoleg)),
+        (disjoint_union(loop1, tad), disjoint_union(twoleg, dumb)),
+    ]:
+        pairs.append((K(ga), K(gb)))
+    for ka, kb in pairs:
+        aut_ab = hopf._aut_key(ka) * hopf._aut_key(kb)
+        star = hopf._star_basis(ka, kb)
+        assert not star.is_zero(), (ka, kb)
+        for g, c in star.terms():
+            mult = hopf._coproduct_graph(g, False).coeff_pair(ka, kb)
+            assert c == Fraction(mult * aut_ab, hopf._aut_key(g)), (ka, kb, g)

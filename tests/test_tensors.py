@@ -164,6 +164,59 @@ def test_delta_bigrade_additive():
         assert NL + NR == N and kL + kR == k
 
 
+def _delta_left(d: PairTensor, m: int, n: int) -> dict:
+    """(tensor_delta (x) id) of d, keyed by (left, middle, right) terms."""
+    out = {}
+    for (tl, tr), c in d.terms():
+        for (a, b), c2 in tensor_delta(InvariantTensor(d.dim_left, {tl: c}), m, n).terms():
+            out[a, b, tr] = out.get((a, b, tr), Fraction(0)) + c2
+    return out
+
+
+def _delta_right(d: PairTensor, m: int, n: int) -> dict:
+    """(id (x) tensor_delta) of d, keyed by (left, middle, right) terms."""
+    out = {}
+    for (tl, tr), c in d.terms():
+        for (a, b), c2 in tensor_delta(InvariantTensor(d.dim_right, {tr: c}), m, n).terms():
+            out[tl, a, b] = out.get((tl, a, b), Fraction(0)) + c2
+    return out
+
+
+def test_delta_coassociative_on_random_tensors():
+    rng = random.Random(17)
+    for _ in range(150):
+        m1, m2, m3 = (rng.randint(0, 2) for _ in range(3))
+        dim = m1 + m2 + m3
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            blocks = [
+                tuple(sorted(rng.randint(1, dim) for _ in range(rng.randint(1, 3))))
+                for _ in range(rng.randint(0, 3) if dim else 0)
+            ]
+            ext = tuple(sorted(rng.randint(1, dim) for _ in range(rng.randint(0, 3) if dim else 0)))
+            terms[tuple(sorted(blocks)), ext] = Fraction(rng.randint(1, 5))
+        t = InvariantTensor(dim, terms)
+        left = _delta_left(tensor_delta(t, m1 + m2, m3), m1, m2)
+        right = _delta_right(tensor_delta(t, m1, m2 + m3), m2, m3)
+        assert left == right, (t._terms, m1, m2, m3)
+
+
+def test_delta_hand_computed_split():
+    # over dim 3 with m = 1: the first term has two equal blocks and a
+    # repeated external index 1, all <= 1, and a block (2, 3) > 1, so it
+    # splits one way only; the block (1, 2) of the second term straddles m
+    t = InvariantTensor(
+        3,
+        {
+            (((1, 1), (1, 1), (2, 3)), (1, 1, 3)): Fraction(2),
+            (((1, 2), (3, 3)), (2,)): Fraction(3),
+        },
+    )
+    left = (((1, 1), (1, 1)), (1, 1))
+    right = (((1, 2),), (2,))
+    assert tensor_delta(t, 1, 2) == PairTensor(1, 2, {(left, right): Fraction(2)})
+
+
 # ---------------------------------------------------------------------------
 # pre-Lie
 
