@@ -114,9 +114,19 @@ class RawTensor(SparseVector):
         )
 
 
+# Most index words ``beta`` writes out: above the 7**7 of the largest beta a
+# verify suite at its largest window asks for (phi-equivariance-insertion).
+_MAX_WORDS = 2**22
+
+
 def beta(c: ChordDiagram, n: int) -> RawTensor:
-    """The invariant of a chord diagram: sum over index assignments constant on chords."""
+    """The invariant of a chord diagram: sum over index assignments constant on chords.
+
+    There are n**N assignments; more than _MAX_WORDS raises ResourceBound.
+    """
     N = c.size
+    if n**N > _MAX_WORDS:
+        raise ResourceBound(f"beta needs {n}**{N} index words, above the bound {_MAX_WORDS}")
     chord_of = c.chord_of()
     words: dict[tuple[int, ...], Fraction] = {}
     for assign in iproduct(range(1, n + 1), repeat=N):

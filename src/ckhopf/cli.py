@@ -20,6 +20,7 @@ from .corpus import NAMED_BUILDERS, name_by_key, named_graph
 from .errors import CKHopfError, InvalidInput
 from .graphs import (
     HalfEdgeGraph,
+    automorphism_count,
     canonical_key,
     contract_subgraph,
     enumerate_graphs,
@@ -234,8 +235,6 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "aut":
-        from .graphs import automorphism_count
-
         g = _load_graph(args.graph)
         n = automorphism_count(g)
         _emit(dumps({"automorphisms": n}) if fmt == "json" else str(n), args.out)

@@ -9,7 +9,8 @@ gamma ranges over the nonempty proper subsets of the internal edges;
 The star product is the dual of the coproduct under the pairing weighted by
 automorphism counts: |Aut G| <a * b, G> = sum over coproduct terms of
 |Aut| -weighted matches of a against the subgraph leg and b against the
-quotient leg.  Its candidates G come from the coproduct being multiplicative.
+quotient leg.  Its candidates G, and their coefficients, are counted from the
+coproducts of connected graphs, as the coproduct is multiplicative.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, prod
 
 from .errors import InvalidInput, WindowTooSmall
 from .graphs import (
@@ -171,6 +172,11 @@ def _cofactors(m: int, k: int, size: int, legs: int) -> dict[tuple[Key, Key], li
     return index
 
 
+def _sym(key: Key) -> int:
+    """Sym(key): m! over the parts of multiplicity m of a monomial."""
+    return prod(map(factorial, Counter(key).values()))
+
+
 @lru_cache(maxsize=None)
 def _star_basis(ka: Key, kb: Key) -> GraphPoly:
     """Star product of two basis monomials, read off the coproduct.
@@ -180,13 +186,15 @@ def _star_basis(ka: Key, kb: Key) -> GraphPoly:
     is some parts of ka taken whole times, for each part b of kb, one
     connected G_b: b itself when no part of ka is sent to b, else a graph with
     gamma (x) b a proper term of its coproduct, gamma being the parts sent.
+
+    Let ways(G) sum, over the assignments of parts and picks of G_b that build
+    G, the product over b of the multiplicity of gamma (x) b in G_b times
+    Sym(gamma).  Counting in two ways the pairs (a term of the coproduct of
+    each part of G, a type-preserving matching of the left parts to ka and of
+    the right parts to kb), the coefficient of ka (x) kb in the coproduct of G
+    is ways(G) Sym(G) / (Sym(ka) Sym(kb)).
     """
-    if ka == EMPTY_KEY:
-        return GraphPoly({kb: Fraction(1)})
-    if kb == EMPTY_KEY:
-        return GraphPoly({ka: Fraction(1)})
-    aut_ab = _aut_key(ka) * _aut_key(kb)
-    out: dict[Key, Fraction] = {}
+    ways: Counter = Counter()
     for assign in itertools.product(range(len(kb) + 1), repeat=len(ka)):
         sent = [tuple(p for p, j in zip(ka, assign) if j == i) for i in range(len(kb) + 1)]
         choices = []
@@ -194,14 +202,12 @@ def _star_basis(ka: Key, kb: Key) -> GraphPoly:
             gr, grb = grade_of(gamma), grade_of((b,))
             index = _cofactors(gr.m + grb.m, grb.k, gr.m, gr.k)
             choices.append(index.get((gamma, (b,)), []) if gamma else [(b, 1)])
+        weight = prod(map(_sym, sent[:-1]))
         for picks in itertools.product(*choices):
             cand = tuple(sorted(sent[-1] + tuple(g for g, _ in picks)))
-            if cand not in out:
-                # a connected candidate is one G_b, and its index entry is the coefficient
-                single = len(cand) == 1
-                mult = picks[0][1] if single else _coproduct_graph(cand, False).coeff_pair(ka, kb)
-                out[cand] = Fraction(mult * aut_ab, _aut_key(cand))
-    return GraphPoly(out)
+            ways[cand] += weight * prod(mult for _, mult in picks)
+    scale = Fraction(_aut_key(ka) * _aut_key(kb), _sym(ka) * _sym(kb))
+    return GraphPoly({g: scale * w * _sym(g) / _aut_key(g) for g, w in ways.items()})
 
 
 def star_product(a: GraphPoly, b: GraphPoly, edge_bound: int | None = None) -> GraphPoly:

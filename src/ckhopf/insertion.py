@@ -15,7 +15,13 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import NotInternalVertex, ValencyMismatch
-from .graphs import HalfEdgeGraph, monomial_key, written_key
+from .graphs import (
+    HalfEdgeGraph,
+    _normalize_surviving,
+    disjoint_union,
+    monomial_key,
+    written_key,
+)
 from .poly import GraphPoly, Key, graph_from_key, linear_combination
 
 
@@ -38,8 +44,6 @@ def insert_at(
             raise NotInternalVertex("g1 has no empty vertex")
         if g2.external_edges():
             raise ValencyMismatch("0-valent site needs a graph with no external edges")
-        from .graphs import disjoint_union
-
         u = disjoint_union(g1, g2)
         return HalfEdgeGraph(u.edges, u.vertices, u.external, u.n_empty - 1)
     if v not in g1.internal_vertices():
@@ -90,8 +94,6 @@ def insert_at(
             vertices.append(tuple(sorted(merged)))
         else:
             n_empty += 1
-
-    from .graphs import _normalize_surviving
 
     return _normalize_surviving(edges, vertices, g1.external, n_empty)
 

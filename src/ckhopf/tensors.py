@@ -16,6 +16,7 @@ word of each z_c and never builds the lift.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -86,14 +87,6 @@ class InvariantTensor(SparseVector):
         if len(grades) != 1:
             raise InhomogeneousInput(f"tensor is not homogeneous: bigrades {sorted(grades)}")
         return grades.pop()
-
-    def component(self, bigrade: tuple[int, int]) -> "InvariantTensor":
-        out = {}
-        for (blocks, ext), v in self._terms.items():
-            total = sum(len(b) for b in blocks) + len(ext)
-            if (total // 2, len(ext)) == bigrade:
-                out[(blocks, ext)] = v
-        return InvariantTensor(self.dim, out)
 
 
 def _cut(word: Sequence[int], cuts: Sequence[int]) -> Term:
@@ -170,44 +163,34 @@ class PairTensor(SparseVector):
         return InvariantTensor(self.dim_left, out)
 
 
-def _subsets(seq: Sequence) -> Iterable[tuple[tuple, tuple]]:
-    """All (chosen, rest) splits of positions of ``seq``."""
-    n = len(seq)
-    for mask in range(1 << n):
-        chosen = tuple(seq[i] for i in range(n) if mask >> i & 1)
-        rest = tuple(seq[i] for i in range(n) if not mask >> i & 1)
-        yield chosen, rest
-
-
 def tensor_delta(t: InvariantTensor, m: int, n: int) -> PairTensor:
     """Coproduct: split blocks and deconcatenate the external monomial, then
     push the left leg through pi_m (indices <= m) and the right leg through
-    pi_n (indices > m, shifted down).  Terms with a killed variable vanish."""
+    pi_n (indices > m, shifted down).  Terms with a killed variable vanish.
+
+    A split survives only if every block lies wholly on one side of m and the
+    external indices <= m go left, so each term has at most one split: none
+    when a block straddles m."""
     if m < 0 or n < 0:
         raise InvalidInput(f"the dimensions m and n must be nonnegative, not {m} and {n}")
     if t.dim != m + n:
         raise DimensionMismatch(f"tensor dimension {t.dim} != m + n = {m + n}")
     out: dict = {}
     for (blocks, ext), c in t._terms.items():
-        for bl, br in _subsets(blocks):
-            if any(any(x > m for x in b) for b in bl):
-                continue
-            if any(any(x <= m for x in b) for b in br):
-                continue
-            for el, er in _subsets(ext):
-                if any(x > m for x in el) or any(x <= m for x in er):
-                    continue
-                left = _norm_term(bl, el)
-                right = _norm_term(
-                    [tuple(x - m for x in b) for b in br], tuple(x - m for x in er)
-                )
-                out[(left, right)] = out.get((left, right), Fraction(0)) + c
+        # blocks and the external monomial are stored sorted, so the sides stay sorted
+        left = tuple(b for b in blocks if b[-1] <= m)
+        right = tuple(tuple(x - m for x in b) for b in blocks if b[0] > m)
+        if len(left) + len(right) < len(blocks):
+            continue
+        cut = bisect_right(ext, m)
+        pair = (left, ext[:cut]), (right, tuple(x - m for x in ext[cut:]))
+        out[pair] = out.get(pair, Fraction(0)) + c
     return PairTensor(m, n, out)
 
 
 def _match_count(block: Mono, ext: Mono) -> int:
     """Number of slot bijections matching equal values, counted over positions."""
-    if sorted(block) != sorted(ext):
+    if block != ext:
         return 0
     count = 1
     for x in set(block):

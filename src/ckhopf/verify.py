@@ -17,6 +17,7 @@ from typing import Callable
 from . import hopf, insertion
 from .chords import beta, enumerate_chords, pair_raw, z_coinv
 from .corpus import connected_corpus, default_corpus, named_graph
+from .errors import ResourceBound
 from .graphs import (
     HalfEdgeGraph,
     automorphism_count,
@@ -26,6 +27,7 @@ from .graphs import (
     enumerate_graphs,
     free_propagator,
     monomial_key,
+    relabel,
     to_json_dict,
 )
 from .oracles import oracle_aut, oracle_enumerate, oracle_iso
@@ -97,10 +99,6 @@ class VerificationReport:
         return "\n".join(lines)
 
 
-def _graph_doc(g: HalfEdgeGraph) -> dict:
-    return to_json_dict(g)
-
-
 class _Runner:
     def __init__(self, report: VerificationReport):
         self.report = report
@@ -134,7 +132,7 @@ def _check_coassociativity(graphs, full: bool):
         p = GraphPoly.from_graph(g)
         d = hopf.coproduct(p, full)
         if hopf.coproduct_on_left(d, full) != hopf.coproduct_on_right(d, full):
-            return {"graph": _graph_doc(g)}
+            return {"graph": to_json_dict(g)}
     return None
 
 
@@ -147,7 +145,7 @@ def _check_algebra_map(graphs, max_edges: int):
             lhs = hopf.coproduct(product(p, q))
             rhs = hopf.coproduct(p).mul(hopf.coproduct(q))
             if lhs != rhs:
-                return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+                return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     return None
 
 
@@ -160,7 +158,7 @@ def _check_counit(graphs):
             GraphPoly(),
         )
         if collapsed != p:
-            return {"graph": _graph_doc(g)}
+            return {"graph": to_json_dict(g)}
     return None
 
 
@@ -173,7 +171,7 @@ def _check_antipode_axiom(graphs):
             summands.append((product(s, GraphPoly({k2: Fraction(1)})), c))
         total = linear_combination(summands, GraphPoly())
         if total != hopf.unit(hopf.counit(p)):
-            return {"graph": _graph_doc(g)}
+            return {"graph": to_json_dict(g)}
     return None
 
 
@@ -182,7 +180,7 @@ def _check_pairing_orthogonality(graphs):
     for g1, k1, p1 in keyed:
         for g2, k2, p2 in keyed:
             if hopf.pairing(p1, p2) != Fraction(k1 == k2):
-                return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+                return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     return None
 
 
@@ -211,9 +209,9 @@ def _check_coproduct_grading(graphs):
         for (k1, k2), _c in hopf.coproduct(GraphPoly.from_graph(g)).terms():
             gr1, gr2 = grade_of(k1), grade_of(k2)
             if gr1.m + gr2.m != gr.m:
-                return {"graph": _graph_doc(g), "term": [gr1, gr2], "law": "internal-degree"}
+                return {"graph": to_json_dict(g), "term": [gr1, gr2], "law": "internal-degree"}
             if not (gr.n <= gr1.n + gr2.n <= 3 * gr.n):
-                return {"graph": _graph_doc(g), "term": [gr1, gr2], "law": "total-window"}
+                return {"graph": to_json_dict(g), "term": [gr1, gr2], "law": "total-window"}
     return None
 
 
@@ -223,7 +221,7 @@ def _check_connected_grade_relation(max_edges: int):
         for g in enumerate_graphs(n, "connected"):
             gr = g.grade()
             if (gr.m == 0) != (gr.n <= gr.k):
-                return {"graph": _graph_doc(g)}
+                return {"graph": to_json_dict(g)}
     return None
 
 
@@ -249,8 +247,8 @@ def _check_star_insertion(pairs):
         expected = product(a, b) + insertion.insertion_product(b, a)
         if star != expected:
             return {
-                "g1": _graph_doc(g1),
-                "g2": _graph_doc(g2),
+                "g1": to_json_dict(g1),
+                "g2": to_json_dict(g2),
                 "star": poly_to_doc(star),
                 "expected": poly_to_doc(expected),
             }
@@ -276,7 +274,7 @@ def _check_star_with_k(max_edges: int):
         for g2 in k_graphs:
             a, b = GraphPoly.from_graph(g1), GraphPoly.from_graph(g2)
             if hopf.star_product(a, b) != product(a, b):
-                return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+                return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     return None
 
 
@@ -286,7 +284,7 @@ def _check_leading_term(pairs):
         rest = hopf.star_product(a, b) - product(a, b)
         for g, _c in rest.graphs():
             if len(monomial_key(g)) >= 2:
-                return {"g1": _graph_doc(g1), "g2": _graph_doc(g2), "term": _graph_doc(g)}
+                return {"g1": to_json_dict(g1), "g2": to_json_dict(g2), "term": to_json_dict(g)}
     return None
 
 
@@ -295,7 +293,7 @@ def _check_star_commutator(pairs):
         a, b = GraphPoly.from_graph(g1), GraphPoly.from_graph(g2)
         comm = hopf.star_product(a, b) - hopf.star_product(b, a)
         if comm != hopf.lie_bracket(b, a):
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     return None
 
 
@@ -319,7 +317,7 @@ def _check_prelie_triples(triples):
         b = GraphPoly.from_graph(g2)
         c = GraphPoly.from_graph(g3)
         if not insertion.prelie_check(a, b, c):
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2), "g3": _graph_doc(g3)}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2), "g3": to_json_dict(g3)}
     return None
 
 
@@ -334,7 +332,7 @@ def _check_jacobi(triples):
             + hopf.lie_bracket(hopf.lie_bracket(c, a), b)
         )
         if not total.is_zero():
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2), "g3": _graph_doc(g3)}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2), "g3": to_json_dict(g3)}
     return None
 
 
@@ -347,7 +345,7 @@ def _check_insertion_grading(pairs):
         for g, _c in prod.graphs():
             gr = g.grade()
             if gr.n != gr1.n + gr2.n - gr2.k or gr.k != gr1.k:
-                return {"g1": _graph_doc(g1), "g2": _graph_doc(g2), "term": _graph_doc(g)}
+                return {"g1": to_json_dict(g1), "g2": to_json_dict(g2), "term": to_json_dict(g)}
     return None
 
 
@@ -454,7 +452,7 @@ def _check_even_degree(graphs, dim: int):
         t = phi(g, dim)
         gr = g.grade()
         if not t.is_zero() and t.bigrade() != (gr.n, gr.k):
-            return {"graph": _graph_doc(g), "bigrade": t.bigrade()}
+            return {"graph": to_json_dict(g), "bigrade": t.bigrade()}
     return None
 
 
@@ -467,7 +465,7 @@ def _check_orthogonal_closure(graphs, dim: int, seed: int):
             rng.shuffle(perm)
             signs = [rng.choice((1, -1)) for _ in range(dim)]
             if apply_signed_permutation(t, perm, signs) != t:
-                return {"graph": _graph_doc(g), "perm": perm, "signs": signs}
+                return {"graph": to_json_dict(g), "perm": perm, "signs": signs}
     return None
 
 
@@ -489,7 +487,7 @@ def _check_phi_multiplicative(pairs, dim: int):
         lhs = tensor_mul(phi(g1, dim), phi(g2, dim))
         rhs = phi(disjoint_union(g1, g2), dim)
         if lhs != rhs:
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     return None
 
 
@@ -500,7 +498,7 @@ def _check_primitive(graphs, m: int, n: int):
         lhs = tensor_delta(phi(g, m + n), m, n)
         rhs = PairTensor.outer(phi(g, m), one_n) + PairTensor.outer(one_m, phi(g, n))
         if lhs != rhs:
-            return {"graph": _graph_doc(g)}
+            return {"graph": to_json_dict(g)}
     return None
 
 
@@ -517,7 +515,7 @@ def _check_delta_cross_terms(pairs, m: int, n: int):
             + PairTensor.outer(phi(g2, m), phi(g1, n))
         )
         if lhs != rhs:
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     return None
 
 
@@ -527,9 +525,9 @@ def _check_delta_counit(graphs, m: int, n: int):
         t = phi(g, m + n)
         d = tensor_delta(t, m, n)
         if d.left_counit() != _pi_shift(t, m, n):
-            return {"graph": _graph_doc(g), "side": "left-counit"}
+            return {"graph": to_json_dict(g), "side": "left-counit"}
         if d.right_counit() != project_to(t, m):
-            return {"graph": _graph_doc(g), "side": "right-counit"}
+            return {"graph": to_json_dict(g), "side": "right-counit"}
     return None
 
 
@@ -568,7 +566,7 @@ def _check_main_theorem(pairs):
         )
         rhs = tensor_prelie(phi(g1, n), phi(g2, n))
         if lhs != rhs:
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2), "n": n}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2), "n": n}
     return None
 
 
@@ -577,7 +575,7 @@ def _check_prelie_projection(pairs, dim: int):
         big = tensor_prelie(phi(g1, dim + 1), phi(g2, dim + 1))
         small = tensor_prelie(phi(g1, dim), phi(g2, dim))
         if project(big) != small:
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     return None
 
 
@@ -591,7 +589,7 @@ def _check_tensor_associator(graphs, dim: int, seed: int, samples: int = 60):
         g1, g2, g3 = (rng.choice(graphs) for _ in range(3))
         t1, t2, t3 = phi(g1, dim), phi(g2, dim), phi(g3, dim)
         if assoc(t1, t2, t3) != assoc(t1, t3, t2):
-            return {"g1": _graph_doc(g1), "g2": _graph_doc(g2), "g3": _graph_doc(g3)}
+            return {"g1": to_json_dict(g1), "g2": to_json_dict(g2), "g3": to_json_dict(g3)}
     return None
 
 
@@ -624,7 +622,7 @@ def _check_psi_phi(graphs, dims: int):
         N = len(g.edges)
         for n in range(N, dims + 1):
             if psi(phi(g, n)) != GraphPoly.from_graph(g):
-                return {"graph": _graph_doc(g), "n": n}
+                return {"graph": to_json_dict(g), "n": n}
     return None
 
 
@@ -635,7 +633,7 @@ def _check_phi_psi(graphs, dim: int):
             continue
         t = phi(g, dim)
         if phi_poly(psi(t), dim) != t:
-            return {"graph": _graph_doc(g)}
+            return {"graph": to_json_dict(g)}
     return None
 
 
@@ -645,7 +643,7 @@ def _check_projection_naturality(graphs, dim: int):
             continue
         for n in range(max(1, len(g.edges)), dim + 1):
             if project(phi(g, n + 1)) != phi(g, n):
-                return {"graph": _graph_doc(g), "n": n}
+                return {"graph": to_json_dict(g), "n": n}
     return None
 
 
@@ -667,7 +665,7 @@ def _check_oracle_aut(graphs):
     for g in graphs:
         if oracle_aut(g) != automorphism_count(g):
             return {
-                "graph": _graph_doc(g),
+                "graph": to_json_dict(g),
                 "oracle": oracle_aut(g),
                 "canonical": automorphism_count(g),
             }
@@ -683,17 +681,15 @@ def _check_oracle_iso(graphs, seed: int):
             for g2 in bucket[i:]:
                 key_equal = canonical_key(g1) == canonical_key(g2)
                 if key_equal != oracle_iso(g1, g2):
-                    return {"g1": _graph_doc(g1), "g2": _graph_doc(g2)}
+                    return {"g1": to_json_dict(g1), "g2": to_json_dict(g2)}
     rng = random.Random(seed)
-    from .graphs import relabel
-
     for g in graphs:
         n = g.n_half_edges
         perm = list(range(n))
         rng.shuffle(perm)
         g2 = relabel(g, dict(enumerate(perm)))
         if canonical_key(g2) != canonical_key(g) or not oracle_iso(g, g2):
-            return {"graph": _graph_doc(g), "perm": perm}
+            return {"graph": to_json_dict(g), "perm": perm}
     return None
 
 
@@ -745,8 +741,6 @@ def run_suite(
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
     if max_edges > 6 or dim > 8:
-        from .errors import ResourceBound
-
         raise ResourceBound("suites are desk scale: max_edges <= 6, dim <= 8")
     params = {
         "max_edges": max_edges,

@@ -89,6 +89,12 @@ def test_delta_file(tmp_path, capsys):
     assert len(json.loads(out)) == 2
 
 
+def test_phi_too_many_words_exits_2(capsys):
+    # theta has 3 edges, so beta would enumerate 100000**3 index words
+    assert main(["phi", "theta", "--dim", "100000"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_unknown_graph_errors(capsys):
     code = main(["aut", "nonexistent-graph"])
     assert code == 2

@@ -22,6 +22,7 @@ from ckhopf.tensors import (
     tensor_mul,
     tensor_prelie,
 )
+from test_golden import _random_tensor
 
 
 def P(g):
@@ -186,16 +187,7 @@ def test_delta_coassociative_on_random_tensors():
     rng = random.Random(17)
     for _ in range(150):
         m1, m2, m3 = (rng.randint(0, 2) for _ in range(3))
-        dim = m1 + m2 + m3
-        terms = {}
-        for _ in range(rng.randint(1, 3)):
-            blocks = [
-                tuple(sorted(rng.randint(1, dim) for _ in range(rng.randint(1, 3))))
-                for _ in range(rng.randint(0, 3) if dim else 0)
-            ]
-            ext = tuple(sorted(rng.randint(1, dim) for _ in range(rng.randint(0, 3) if dim else 0)))
-            terms[tuple(sorted(blocks)), ext] = Fraction(rng.randint(1, 5))
-        t = InvariantTensor(dim, terms)
+        t = _random_tensor(rng, m1 + m2 + m3)
         left = _delta_left(tensor_delta(t, m1 + m2, m3), m1, m2)
         right = _delta_right(tensor_delta(t, m1, m2 + m3), m2, m3)
         assert left == right, (t._terms, m1, m2, m3)
