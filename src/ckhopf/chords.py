@@ -83,7 +83,7 @@ def enumerate_chords(n_chords: int) -> tuple[ChordDiagram, ...]:
 class RawTensor(SparseVector):
     """Sparse element of (V_n*)^(x 2N): words over {1..n} with rational coefficients.
 
-    Equality ignores ``dim``; a sum lives over the larger of the two dimensions.
+    Equality compares ``dim`` and ``length``; a sum needs both to agree.
     """
 
     __slots__ = ("dim", "length")
@@ -95,14 +95,6 @@ class RawTensor(SparseVector):
 
     def _meta(self) -> tuple:
         return (self.dim, self.length)
-
-    def _space(self) -> tuple:
-        return (self.length,)
-
-    def _join(self, a: tuple, b: tuple) -> tuple:
-        if a[1] != b[1]:
-            raise LengthMismatch("cannot add raw tensors of different length")
-        return (max(a[0], b[0]), a[1])
 
     def coeff(self, word: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))

@@ -176,7 +176,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("star", help="dual star product g1 * g2")
     p.add_argument("g1")
     p.add_argument("g2")
-    p.add_argument("--edge-bound", type=int, default=None)
     common(p)
 
     p = sub.add_parser("phi", help="graph to invariant tensor")
@@ -186,7 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("psi", help="invariant tensor to graph polynomial")
     p.add_argument("tensor", help="path to an invariant tensor JSON file")
-    p.add_argument("--dim", type=_count, default=None)
     common(p)
 
     p = sub.add_parser("delta", help="tensor coproduct into dimensions m and n")
@@ -269,9 +267,7 @@ def _dispatch(args) -> int:
 
     if args.command == "star":
         g1, g2 = _load_graph(args.g1), _load_graph(args.g2)
-        p = hopf.star_product(
-            GraphPoly.from_graph(g1), GraphPoly.from_graph(g2), args.edge_bound
-        )
+        p = hopf.star_product(GraphPoly.from_graph(g1), GraphPoly.from_graph(g2))
         _emit(dumps(poly_to_doc(p)) if fmt == "json" else _poly_text(p), args.out)
         return 0
 
@@ -283,7 +279,7 @@ def _dispatch(args) -> int:
 
     if args.command == "psi":
         t = _load_tensor(args.tensor)
-        p = psi(t, args.dim)
+        p = psi(t)
         _emit(dumps(poly_to_doc(p)) if fmt == "json" else _poly_text(p), args.out)
         return 0
 

@@ -41,10 +41,6 @@ class ResourceBound(CKHopfError):
     """An enumeration or search exceeded its configured budget."""
 
 
-class WindowTooSmall(CKHopfError):
-    """The requested star-product edge bound is below the total degree."""
-
-
 class ValencyMismatch(CKHopfError):
     """Insertion site valency differs from the external edge count."""
 

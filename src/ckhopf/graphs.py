@@ -550,24 +550,16 @@ def contract_subgraph(g: HalfEdgeGraph, gamma: Iterable[Sequence[int]]) -> HalfE
     removed = {h for e in gamma_edges for h in e}
     vert_of = g.vertex_of()
 
-    parent = list(range(len(g.vertices)))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    parent: dict[int, int] = {}
     for a, b in gamma_edges:
-        ra, rb = find(vert_of[a]), find(vert_of[b])
-        if ra != rb:
-            parent[ra] = rb
+        parent[_root(parent, vert_of[a])] = _root(parent, vert_of[b])
 
     groups: dict[int, list[int]] = {}
     for i, v in enumerate(g.vertices):
-        groups.setdefault(find(i), []).extend(h for h in v if h not in removed)
+        groups.setdefault(_root(parent, i), []).extend(h for h in v if h not in removed)
     new_vertices = [tuple(sorted(v)) for v in groups.values()]
-    new_edges = [e for e in g.edges if tuple(e) not in set(map(tuple, gamma_edges))]
+    # each half-edge lies in one edge, so an edge is in gamma when its first half is
+    new_edges = [e for e in g.edges if e[0] not in removed]
     return _normalize_surviving(new_edges, new_vertices, g.external, g.n_empty)
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial, prod
 
-from .errors import InvalidInput, WindowTooSmall
+from .errors import InvalidInput
 from .graphs import (
     EMPTY_VERTEX,
     automorphism_count,
@@ -43,6 +43,7 @@ from .poly import (
     graph_from_key,
     linear_combination,
     product,
+    sym,
 )
 from . import insertion
 
@@ -172,11 +173,6 @@ def _cofactors(m: int, k: int, size: int, legs: int) -> dict[tuple[Key, Key], li
     return index
 
 
-def _sym(key: Key) -> int:
-    """Sym(key): m! over the parts of multiplicity m of a monomial."""
-    return prod(map(factorial, Counter(key).values()))
-
-
 @lru_cache(maxsize=None)
 def _star_basis(ka: Key, kb: Key) -> GraphPoly:
     """Star product of two basis monomials, read off the coproduct.
@@ -202,19 +198,17 @@ def _star_basis(ka: Key, kb: Key) -> GraphPoly:
             gr, grb = grade_of(gamma), grade_of((b,))
             index = _cofactors(gr.m + grb.m, grb.k, gr.m, gr.k)
             choices.append(index.get((gamma, (b,)), []) if gamma else [(b, 1)])
-        weight = prod(map(_sym, sent[:-1]))
+        weight = prod(map(sym, sent[:-1]))
         for picks in itertools.product(*choices):
             cand = tuple(sorted(sent[-1] + tuple(g for g, _ in picks)))
             ways[cand] += weight * prod(mult for _, mult in picks)
-    scale = Fraction(_aut_key(ka) * _aut_key(kb), _sym(ka) * _sym(kb))
-    return GraphPoly({g: scale * w * _sym(g) / _aut_key(g) for g, w in ways.items()})
+    scale = Fraction(_aut_key(ka) * _aut_key(kb), sym(ka) * sym(kb))
+    return GraphPoly({g: scale * w * sym(g) / _aut_key(g) for g, w in ways.items()})
 
 
-def star_product(a: GraphPoly, b: GraphPoly, edge_bound: int | None = None) -> GraphPoly:
-    """The product dual to the coproduct, with every term.
-
-    ``edge_bound`` truncates nothing, as no term has more edges than its pair;
-    a bound below the largest total degree of a support pair raises WindowTooSmall.
+def star_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
+    """The product dual to the coproduct, with every term; no term has more
+    edges than the pair of arguments it comes from.
 
     An argument with an empty vertex raises InvalidInput.  The identity
     a * b = a u b + b o a cannot hold there: with the default subgraph range
@@ -225,16 +219,9 @@ def star_product(a: GraphPoly, b: GraphPoly, edge_bound: int | None = None) -> G
     vertex = canonical_key(EMPTY_VERTEX)
     if any(vertex in key for p in (a, b) for key in p._terms):
         raise InvalidInput("the star product is not defined on graphs with an empty vertex")
-    pairs = [(ka, ca, kb, cb) for ka, ca in a.terms() for kb, cb in b.terms()]
-    needed = max((grade_of(ka).n + grade_of(kb).n for ka, _, kb, _ in pairs), default=0)
-    if edge_bound is None:
-        edge_bound = needed
-    if edge_bound < needed:
-        raise WindowTooSmall(
-            f"edge bound {edge_bound} is below the required total degree {needed}"
-        )
     return linear_combination(
-        ((_star_basis(ka, kb), ca * cb) for ka, ca, kb, cb in pairs), GraphPoly()
+        ((_star_basis(ka, kb), ca * cb) for ka, ca in a.terms() for kb, cb in b.terms()),
+        GraphPoly(),
     )
 
 

@@ -9,7 +9,9 @@ only place a disconnected graph is canonicalized as one graph.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from math import factorial, prod
 from typing import Hashable, Iterable, Iterator
 
 from .errors import DimensionMismatch
@@ -34,14 +36,21 @@ def _frac(x: Scalar) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def sym(seq: Iterable[Hashable]) -> int:
+    """Sym(seq): the product of m! over the distinct items of multiplicity m."""
+    return prod(map(factorial, Counter(seq).values()))
+
+
 class SparseVector:
     """An immutable, finitely supported map from hashable keys to rationals.
 
     A subclass may carry metadata (a dimension, a word length): its
     constructor takes the metadata first and ``terms`` last, and ``_meta``
     returns the metadata, so every operation here builds a result of the same
-    type.  Zero coefficients are dropped on construction and ``terms()`` is
-    sorted, so equal vectors serialize to equal bytes.
+    type.  Equality compares the type, the metadata and the terms; adding
+    vectors with different metadata raises DimensionMismatch.  Zero
+    coefficients are dropped on construction and ``terms()`` is sorted, so
+    equal vectors serialize to equal bytes.
     """
 
     __slots__ = ("_terms",)
@@ -52,20 +61,8 @@ class SparseVector:
     def _meta(self) -> tuple:
         return ()
 
-    def _space(self) -> tuple:
-        """The part of the metadata that equality compares."""
-        return self._meta()
-
-    def _join(self, a: tuple, b: tuple) -> tuple:
-        """Metadata of a sum of vectors with metadata ``a`` and ``b``."""
-        if a != b:
-            raise DimensionMismatch(
-                f"cannot add {type(self).__name__}s over different dimensions {a} and {b}"
-            )
-        return a
-
-    def _new(self, terms: dict, meta: tuple | None = None) -> "SparseVector":
-        return type(self)(*(self._meta() if meta is None else meta), terms)
+    def _new(self, terms: dict) -> "SparseVector":
+        return type(self)(*self._meta(), terms)
 
     @classmethod
     def zero(cls, *meta):
@@ -107,12 +104,12 @@ class SparseVector:
     def __eq__(self, other: object) -> bool:
         return (
             type(other) is type(self)
-            and self._space() == other._space()
+            and self._meta() == other._meta()
             and self._terms == other._terms
         )
 
     def __hash__(self):
-        return hash((self._space(), frozenset(self._terms.items())))
+        return hash((self._meta(), frozenset(self._terms.items())))
 
     def __repr__(self) -> str:
         args = [repr(m) for m in self._meta()] + [f"{len(self._terms)} terms"]
@@ -128,7 +125,7 @@ def linear_combination(pairs: Iterable[tuple[SparseVector, Scalar]], like: Spars
     """The sum of c * v over the (v, c) in ``pairs``, accumulated in one dict.
 
     The result has the type and metadata of ``like``, whose own terms are not
-    added; a vector whose metadata does not fit raises as ``+`` does.  No input
+    added; a vector with other metadata raises DimensionMismatch.  No input
     is modified.
     """
     meta = like._meta()
@@ -136,7 +133,9 @@ def linear_combination(pairs: Iterable[tuple[SparseVector, Scalar]], like: Spars
     get = out.get
     for v, c in pairs:
         if v._meta() != meta:
-            meta = like._join(meta, v._meta())
+            raise DimensionMismatch(
+                f"cannot add {type(like).__name__}s over {meta} and {v._meta()}"
+            )
         items = v._terms.items()
         if c != 1:
             c = _frac(c)
@@ -144,7 +143,7 @@ def linear_combination(pairs: Iterable[tuple[SparseVector, Scalar]], like: Spars
         for k, x in items:
             y = get(k)
             out[k] = x if y is None else y + x
-    return like._new(out, meta)
+    return like._new(out)
 
 
 class GraphPoly(SparseVector):
@@ -215,10 +214,6 @@ class GraphTensorPoly(SparseVector):
     @classmethod
     def unit(cls) -> "GraphTensorPoly":
         return cls({(EMPTY_KEY, EMPTY_KEY): Fraction(1)})
-
-    @classmethod
-    def of(cls, g1: HalfEdgeGraph, g2: HalfEdgeGraph, coeff: Scalar = 1) -> "GraphTensorPoly":
-        return cls({(monomial_key(g1), monomial_key(g2)): _frac(coeff)})
 
     def written_terms(self) -> list[tuple[tuple[bytes, bytes], Fraction]]:
         """((written key, written key), coefficient) pairs in sorted order."""

@@ -2,7 +2,8 @@
 
 Rationals are written as "p/q" strings; no floating point appears anywhere.
 Serialization is canonical: lists sorted, no whitespace, so equal values give
-equal bytes.  Reading is strict: a malformed document raises ``InvalidInput``.
+equal bytes.  Graph polynomials are only written.  Graphs and invariant
+tensors are also read, strictly: a malformed document raises ``InvalidInput``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InvalidInput
 from .graphs import from_json_dict, to_json_dict
-from .poly import GraphPoly, GraphTensorPoly, linear_combination
+from .poly import GraphPoly, GraphTensorPoly
 from .tensors import InvariantTensor
 
 graph_to_doc = to_json_dict
@@ -46,14 +47,6 @@ def poly_to_doc(p: GraphPoly) -> list:
     return out
 
 
-def poly_from_doc(doc: list) -> GraphPoly:
-    terms = [
-        (GraphPoly.from_graph(graph_from_doc(item["graph"])), frac_from_str(item["coefficient"]))
-        for item in doc
-    ]
-    return linear_combination(terms, GraphPoly())
-
-
 def tensor_poly_to_doc(t: GraphTensorPoly) -> list:
     out = []
     for (k1, k2), coeff in t.written_terms():
@@ -64,14 +57,6 @@ def tensor_poly_to_doc(t: GraphTensorPoly) -> list:
             }
         )
     return out
-
-
-def tensor_poly_from_doc(doc: list) -> GraphTensorPoly:
-    terms = []
-    for item in doc:
-        g1, g2 = graph_from_doc(item["graphs"][0]), graph_from_doc(item["graphs"][1])
-        terms.append((GraphTensorPoly.of(g1, g2), frac_from_str(item["coefficient"])))
-    return linear_combination(terms, GraphTensorPoly())
 
 
 def invariant_to_doc(t: InvariantTensor) -> dict:
@@ -94,7 +79,7 @@ def _is_int(x) -> bool:
 def _indices(xs, dim: int) -> tuple[int, ...]:
     if not isinstance(xs, list) or not all(_is_int(x) and 1 <= x <= dim for x in xs):
         raise InvalidInput(f"{xs!r} is not a list of indices in 1..{dim}")
-    return tuple(sorted(xs))
+    return tuple(xs)
 
 
 def invariant_from_doc(doc: dict) -> InvariantTensor:
@@ -107,7 +92,7 @@ def invariant_from_doc(doc: dict) -> InvariantTensor:
     for item in doc["terms"]:
         if not isinstance(item, dict) or not isinstance(item.get("blocks"), list):
             raise InvalidInput(f"tensor term {item!r} has no list of blocks")
-        blocks = tuple(sorted(_indices(b, dim) for b in item["blocks"]))
+        blocks = tuple(_indices(b, dim) for b in item["blocks"])
         if () in blocks:
             raise InvalidInput(f"tensor term {item!r} has an empty block")
         ext = _indices(item.get("external"), dim)

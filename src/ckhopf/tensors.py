@@ -17,7 +17,6 @@ word of each z_c and never builds the lift.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, pairwise
@@ -41,7 +40,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import HalfEdgeGraph
-from .poly import GraphPoly, SparseVector, linear_combination
+from .poly import GraphPoly, SparseVector, linear_combination, sym
 
 Blocks = tuple[tuple[int, ...], ...]
 Mono = tuple[int, ...]
@@ -49,18 +48,27 @@ Term = tuple[Blocks, Mono]
 
 
 def _norm_term(blocks: Iterable[Sequence[int]], external: Sequence[int]) -> Term:
-    bs = tuple(sorted(tuple(sorted(b)) for b in blocks))
-    return bs, tuple(sorted(external))
+    return tuple(sorted(map(tuple, map(sorted, blocks)))), tuple(sorted(external))
 
 
 class InvariantTensor(SparseVector):
-    """Sparse rational combination of block-monomial terms over dimension n."""
+    """Sparse rational combination of block-monomial terms over dimension n.
+
+    The constructor takes terms in any order: it sorts each block, the block
+    list and the external monomial, and adds the coefficients of terms that
+    become equal.  So every stored block and external monomial is sorted.
+    """
 
     __slots__ = ("dim",)
 
     def __init__(self, dim: int, terms: dict[Term, Fraction] | None = None):
         self.dim = dim
-        super().__init__(terms)
+        merged: dict[Term, Fraction] = {}
+        for (blocks, ext), c in (terms or {}).items():
+            term = _norm_term(blocks, ext)
+            old = merged.get(term)
+            merged[term] = c if old is None else old + c
+        super().__init__(merged)
 
     def _meta(self) -> tuple:
         return (self.dim,)
@@ -90,9 +98,9 @@ class InvariantTensor(SparseVector):
 
 
 def _cut(word: Sequence[int], cuts: Sequence[int]) -> Term:
-    """The term of a word: internal blocks between consecutive ``cuts``, the
-    external monomial after the last one."""
-    return _norm_term((word[a:b] for a, b in pairwise(cuts)), word[cuts[-1] :])
+    """The unsorted term of a word: internal blocks between consecutive
+    ``cuts``, the external monomial after the last one."""
+    return tuple(word[a:b] for a, b in pairwise(cuts)), word[cuts[-1] :]
 
 
 def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
@@ -100,11 +108,8 @@ def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
     if f.length != shape.total:
         raise ShapeMismatch(f"raw length {f.length} != shape total {shape.total}")
     cuts = list(accumulate(shape.internal, initial=0))
-    out: dict[Term, Fraction] = {}
-    for word, c in f._terms.items():
-        term = _cut(word, cuts)
-        out[term] = out.get(term, Fraction(0)) + c
-    return InvariantTensor(f.dim, out)
+    # distinct words cut to distinct unsorted terms; the constructor merges them
+    return InvariantTensor(f.dim, {_cut(word, cuts): c for word, c in f._terms.items()})
 
 
 @lru_cache(maxsize=None)
@@ -129,7 +134,7 @@ def tensor_mul(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
     out: dict[Term, Fraction] = {}
     for (b1, e1), c1 in t1._terms.items():
         for (b2, e2), c2 in t2._terms.items():
-            term = _norm_term(b1 + b2, e1 + e2)
+            term = (b1 + b2, e1 + e2)
             out[term] = out.get(term, Fraction(0)) + c1 * c2
     return InvariantTensor(t1.dim, out)
 
@@ -190,12 +195,7 @@ def tensor_delta(t: InvariantTensor, m: int, n: int) -> PairTensor:
 
 def _match_count(block: Mono, ext: Mono) -> int:
     """Number of slot bijections matching equal values, counted over positions."""
-    if block != ext:
-        return 0
-    count = 1
-    for x in set(block):
-        count *= factorial(block.count(x))
-    return count
+    return sym(block) if block == ext else 0
 
 
 def tensor_prelie(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
@@ -220,27 +220,30 @@ def tensor_prelie(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
                 matches = _match_count(block, e2)
                 if not matches:
                     continue
-                term = _norm_term(b1[:i] + b1[i + 1 :] + b2, e1)
+                term = (b1[:i] + b1[i + 1 :] + b2, e1)
                 out[term] = out.get(term, Fraction(0)) + c1 * c2 * matches
     return InvariantTensor(t1.dim, out)
 
 
 def project(t: InvariantTensor) -> InvariantTensor:
     """Drop every term containing the top index; the result lives over dim - 1."""
-    n = t.dim - 1
-    out = {}
-    for (blocks, ext), c in t._terms.items():
-        if any(any(x > n for x in b) for b in blocks) or any(x > n for x in ext):
-            continue
-        out[(blocks, ext)] = c
-    return InvariantTensor(n, out)
+    return project_to(t, t.dim - 1)
 
 
 def project_to(t: InvariantTensor, n: int) -> InvariantTensor:
-    out = t
-    while out.dim > n:
-        out = project(out)
-    return out
+    """Drop every term containing an index above n; the result lives over n.
+    A tensor over dimension n or less is returned as it is."""
+    if n >= t.dim:
+        return t
+    return InvariantTensor(
+        n,
+        {
+            (blocks, ext): c
+            for (blocks, ext), c in t._terms.items()
+            # blocks and the external monomial are stored sorted
+            if all(b[-1] <= n for b in blocks) and (not ext or ext[-1] <= n)
+        },
+    )
 
 
 def apply_signed_permutation(
@@ -252,8 +255,8 @@ def apply_signed_permutation(
         sign = 1
         for x in [x for b in blocks for x in b] + list(ext):
             sign *= signs[x - 1]
-        term = _norm_term(
-            [tuple(perm[x - 1] for x in b) for b in blocks],
+        term = (
+            tuple(tuple(perm[x - 1] for x in b) for b in blocks),
             tuple(perm[x - 1] for x in ext),
         )
         out[term] = out.get(term, Fraction(0)) + c * sign
@@ -266,10 +269,7 @@ def apply_signed_permutation(
 
 def _arrangements(mono: Sequence) -> int:
     """Distinct orderings of a multiset: len! over the product of multiplicities!."""
-    count = factorial(len(mono))
-    for m in Counter(mono).values():
-        count //= factorial(m)
-    return count
+    return factorial(len(mono)) // sym(mono)
 
 
 def _orbit_size(term: Term) -> int:
@@ -284,7 +284,7 @@ def _orbit_size(term: Term) -> int:
     return size
 
 
-def psi(t: InvariantTensor, n: int | None = None) -> GraphPoly:
+def psi(t: InvariantTensor) -> GraphPoly:
     """Evaluate the invariant lift of ``t`` against the coinvariants z_c.
 
     For each block shape of ``t`` and each chord diagram c, the single word of
@@ -292,13 +292,10 @@ def psi(t: InvariantTensor, n: int | None = None) -> GraphPoly:
     its value on that word is the term's coefficient in ``t`` divided by the
     term's orbit size; that value weights the graph of c on the shape.
 
-    Requires a homogeneous tensor; a tensor of bigrade (N, k) with N > n maps
-    to zero.  On images of ``phi`` this inverts it exactly.
+    Requires a homogeneous tensor; a tensor of bigrade (N, k) over dimension
+    n with N > n maps to zero.  On images of ``phi`` this inverts it exactly.
     """
-    if n is None:
-        n = t.dim
-    if n != t.dim:
-        raise DimensionMismatch(f"tensor lives over dimension {t.dim}, not {n}")
+    n = t.dim
     if t.is_zero():
         return GraphPoly.zero()
     N, k = t.bigrade()
@@ -311,7 +308,7 @@ def psi(t: InvariantTensor, n: int | None = None) -> GraphPoly:
         cuts = list(accumulate(sizes, initial=0))
         for c in enumerate_chords(N):
             ((word, _),) = z_coinv(c, n).terms()
-            term = _cut(word, cuts)
+            term = _norm_term(*_cut(word, cuts))
             coeff = t._terms.get(term)
             if coeff:
                 graph = GraphPoly.from_graph(graph_from_chord(shape, c))

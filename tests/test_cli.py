@@ -267,10 +267,9 @@ def test_insert_arbitrary_json_exits_0_or_2(tmp_path_factory, doc1, doc2):
 
 
 @_fuzz
-@given(_json | _tensor_doc, st.none() | st.integers(-1, 4))
-def test_psi_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, dim):
-    flags = [] if dim is None else ["--dim", str(dim)]
-    assert _exit_code(tmp_path_factory, "psi", [doc], flags) in (0, 2)
+@given(_json | _tensor_doc)
+def test_psi_arbitrary_json_exits_0_or_2(tmp_path_factory, doc):
+    assert _exit_code(tmp_path_factory, "psi", [doc]) in (0, 2)
 
 
 @_fuzz
@@ -292,11 +291,10 @@ def test_star_with_empty_vertex_exits_2(tmp_path_factory):
 
 
 @_fuzz
-@given(_small_doc, _small_doc, st.none() | st.integers(-1, 4))
-@example(_loop_and_vertex, _loop_and_vertex, None)
-def test_star_arbitrary_json_exits_0_or_2(tmp_path_factory, doc1, doc2, bound):
-    flags = [] if bound is None else ["--edge-bound", str(bound)]
-    assert _exit_code(tmp_path_factory, "star", [doc1, doc2], flags) in (0, 2)
+@given(_small_doc, _small_doc)
+@example(_loop_and_vertex, _loop_and_vertex)
+def test_star_arbitrary_json_exits_0_or_2(tmp_path_factory, doc1, doc2):
+    assert _exit_code(tmp_path_factory, "star", [doc1, doc2]) in (0, 2)
 
 
 @_fuzz
@@ -327,7 +325,6 @@ def test_contract_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, edges):
     [
         ["enumerate", "--edges", "-1"],
         ["phi", "loop1", "--dim", "-2"],
-        ["psi", str(GOLDEN / "phi_bubble_3.json"), "--dim", "-1"],
         ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "-1", "--n", "5"],
         ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "5", "--n", "-1"],
         ["verify", "--suite", "grading", "--max-edges", "-1"],
@@ -340,3 +337,18 @@ def test_negative_count_flag_exits_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "nonnegative integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["star", "twoleg", "loop1", "--edge-bound", "4"],
+        ["psi", str(GOLDEN / "phi_bubble_3.json"), "--dim", "3"],
+    ],
+)
+def test_removed_flag_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err

@@ -5,7 +5,7 @@ import pytest
 
 from ckhopf import hopf
 from ckhopf.corpus import connected_corpus, named_graph
-from ckhopf.errors import InvalidInput, WindowTooSmall
+from ckhopf.errors import InvalidInput
 from ckhopf.graphs import (
     EMPTY_VERTEX,
     disjoint_union,
@@ -157,11 +157,6 @@ def test_star_unit():
     b = P(named_graph("bubble"))
     assert hopf.star_product(GraphPoly.one(), b) == b
     assert hopf.star_product(b, GraphPoly.one()) == b
-
-
-def test_star_window_too_small(twoleg, loop1):
-    with pytest.raises(WindowTooSmall):
-        hopf.star_product(P(twoleg), P(loop1), edge_bound=3)
 
 
 def test_star_rejects_empty_vertices(loop1):

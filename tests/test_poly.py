@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 
 from ckhopf.chords import RawTensor
-from ckhopf.errors import DimensionMismatch, LengthMismatch
-from ckhopf.poly import GraphPoly, GraphTensorPoly, SparseVector, linear_combination
+from ckhopf.errors import DimensionMismatch
+from ckhopf.poly import GraphPoly, GraphTensorPoly, SparseVector, linear_combination, sym
 from ckhopf.tensors import InvariantTensor, PairTensor
 
 
@@ -30,20 +30,24 @@ def test_equality_needs_same_type_and_space():
     assert GraphPoly(terms) != GraphTensorPoly(terms)
     assert GraphPoly(terms) == GraphPoly(terms)
     assert hash(GraphPoly(terms)) == hash(GraphPoly(dict(terms)))
-    assert InvariantTensor(2, terms) != InvariantTensor(3, terms)
+    term = {(((1, 1),), ()): Fraction(1)}
+    assert InvariantTensor(2, term) != InvariantTensor(3, term)
     assert PairTensor(1, 2, terms) != PairTensor(2, 1, terms)
 
 
-def test_raw_tensor_equality_ignores_dim():
+def test_raw_tensor_equality_compares_dim():
     a = RawTensor(2, 2, {(1, 1): Fraction(1)})
     b = RawTensor(5, 2, {(1, 1): Fraction(1)})
-    assert a == b and hash(a) == hash(b)
-    assert (a + b).dim == 5
+    assert a != b
+    assert a == RawTensor(2, 2, {(1, 1): Fraction(1)})
+    assert hash(a) == hash(RawTensor(2, 2, {(1, 1): Fraction(1)}))
     assert a != RawTensor(2, 4, {(1, 1, 1, 1): Fraction(1)})
+    with pytest.raises(DimensionMismatch):
+        a + b
 
 
 def test_mismatched_metadata_raises():
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(DimensionMismatch):
         RawTensor(2, 2) + RawTensor(2, 4)
     with pytest.raises(DimensionMismatch):
         InvariantTensor.unit(2) + InvariantTensor.unit(3)
@@ -69,3 +73,10 @@ def test_linear_combination_leaves_inputs_alone():
     assert a == GraphPoly({b"x": Fraction(1), b"y": Fraction(2)})
     assert b == GraphPoly({b"y": Fraction(-1)})
     assert linear_combination([], InvariantTensor(4)) == InvariantTensor.zero(4)
+
+
+def test_sym_multiplies_factorials_of_multiplicities():
+    assert sym(()) == 1
+    assert sym((1, 2, 3)) == 1
+    assert sym((1, 1, 2, 1, 2)) == 3 * 2 * 2
+    assert sym((b"a", b"a")) == 2

@@ -17,6 +17,7 @@ from ckhopf.tensors import (
     phi,
     phi_poly,
     project,
+    project_to,
     psi,
     tensor_delta,
     tensor_mul,
@@ -253,6 +254,20 @@ def test_project_naturality():
         assert project(phi(g, 4)) == phi(g, 3)
 
 
+def test_project_to_keeps_the_terms_with_indices_up_to_n():
+    rng = random.Random(5)
+    for _ in range(40):
+        t = _random_tensor(rng, rng.randint(0, 5))
+        for n in range(-1, t.dim):
+            kept = {
+                (blocks, ext): c
+                for (blocks, ext), c in t.terms()
+                if all(x <= n for x in [*ext, *(x for b in blocks for x in b)])
+            }
+            assert project_to(t, n) == InvariantTensor(n, kept), (t, n)
+        assert project_to(t, t.dim) is t and project_to(t, t.dim + 1) is t
+
+
 def test_project_commutes_with_mul():
     g1, g2 = named_graph("loop1"), named_graph("bubble")
     big = tensor_mul(phi(g1, 4), phi(g2, 4))
@@ -366,3 +381,31 @@ def test_beta_rank_drops_below_dimension():
 
     tensors = [beta(c, 1) for c in enumerate_chords(2)]
     assert all(t == tensors[0] for t in tensors)
+
+
+# ---------------------------------------------------------------------------
+# the term normal form
+
+
+def test_constructor_sorts_and_merges_terms():
+    t = InvariantTensor(3, {(((2, 1), (1,)), (3, 1)): 1, (((1,), (1, 2)), (1, 3)): Fraction(1, 2)})
+    assert list(t.terms()) == [((((1,), (1, 2)), (1, 3)), Fraction(3, 2))]
+    assert InvariantTensor(2, {(((2, 1),), ()): 1, (((1, 2),), ()): -1}).is_zero()
+
+
+def test_unsorted_block_equals_its_sorted_twin():
+    t = InvariantTensor(2, {(((2, 1),), ()): 1})
+    twin = InvariantTensor(2, {(((1, 2),), ()): 1})
+    assert t == twin and hash(t) == hash(twin)
+
+
+def test_unsorted_block_coefficient():
+    t = InvariantTensor(2, {(((2, 1),), ()): 1})
+    assert t.coeff([(1, 2)], []) == 1
+    assert t.coeff([(2, 1)], []) == 1
+
+
+def test_unsorted_block_straddles_in_delta():
+    # the block x1*x2 straddles m = 1, so the term has no split
+    t = InvariantTensor(2, {(((2, 1),), ()): 1})
+    assert tensor_delta(t, 1, 1).is_zero()
