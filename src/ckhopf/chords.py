@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 from .errors import (
     DimensionTooSmall,
     EmptyVertexUnsupported,
+    InvalidInput,
     LengthMismatch,
     ResourceBound,
     ShapeMismatch,
@@ -63,7 +64,7 @@ class ChordDiagram:
 def enumerate_chords(n_chords: int) -> tuple[ChordDiagram, ...]:
     """All chord diagrams on {1,..,2N}; there are (2N-1)!! of them."""
     if n_chords < 0:
-        raise ValueError("N must be nonnegative")
+        raise InvalidInput(f"the number of chords must be nonnegative, not {n_chords}")
     if n_chords > 6:
         raise ResourceBound("chord enumeration is desk scale (N <= 6)")
 
@@ -88,7 +89,7 @@ class RawTensor(SparseVector):
 
     __slots__ = ("dim", "length")
 
-    def __init__(self, dim: int, length: int, terms: dict[tuple[int, ...], Fraction] | None = None):
+    def __init__(self, dim: int, length: int, terms=()):
         self.dim = dim
         self.length = length
         super().__init__(terms)
@@ -115,16 +116,15 @@ def beta(c: ChordDiagram, n: int) -> RawTensor:
     """The invariant of a chord diagram: sum over index assignments constant on chords.
 
     There are n**N assignments; more than _MAX_WORDS raises ResourceBound.
+    An assignment can be read back from its word, so every coefficient is 1.
     """
     N = c.size
     if n**N > _MAX_WORDS:
         raise ResourceBound(f"beta needs {n}**{N} index words, above the bound {_MAX_WORDS}")
     chord_of = c.chord_of()
-    words: dict[tuple[int, ...], Fraction] = {}
-    for assign in iproduct(range(1, n + 1), repeat=N):
-        word = tuple(assign[chord_of[pos]] for pos in range(1, 2 * N + 1))
-        words[word] = words.get(word, Fraction(0)) + 1
-    return RawTensor(n, 2 * N, words)
+    assigns = iproduct(range(1, n + 1), repeat=N)
+    words = (tuple(a[chord_of[pos]] for pos in range(1, 2 * N + 1)) for a in assigns)
+    return RawTensor(n, 2 * N, dict.fromkeys(words, Fraction(1)))
 
 
 def z_coinv(c: ChordDiagram, n: int) -> RawTensor:
@@ -141,11 +141,7 @@ def pair_raw(f: RawTensor, g: RawTensor) -> Fraction:
     """Evaluation of a dual tensor on a tensor in the orthonormal basis."""
     if f.length != g.length:
         raise LengthMismatch(f"lengths {f.length} and {g.length} differ")
-    small, large = (f, g) if len(f._terms) <= len(g._terms) else (g, f)
-    total = Fraction(0)
-    for w, v in small._terms.items():
-        total += v * large._terms.get(w, Fraction(0))
-    return total
+    return f.dot(g)
 
 
 @dataclass(frozen=True)

@@ -88,22 +88,20 @@ def coproduct(p: GraphPoly, full_subgraph_term: bool = False) -> GraphTensorPoly
 
 def coproduct_on_left(t: GraphTensorPoly, full_subgraph_term: bool = False) -> SparseVector:
     """(coproduct (x) id) applied to an element of H (x) H."""
-    out: dict[tuple[Key, Key, Key], Fraction] = {}
-    for (k1, k2), c in t.terms():
-        for (a, b), c2 in _coproduct_graph(k1, full_subgraph_term).terms():
-            key = (a, b, k2)
-            out[key] = out.get(key, Fraction(0)) + c * c2
-    return SparseVector(out)
+    return SparseVector(
+        ((a, b, k2), c * c2)
+        for (k1, k2), c in t.terms()
+        for (a, b), c2 in _coproduct_graph(k1, full_subgraph_term).terms()
+    )
 
 
 def coproduct_on_right(t: GraphTensorPoly, full_subgraph_term: bool = False) -> SparseVector:
     """(id (x) coproduct) applied to an element of H (x) H."""
-    out: dict[tuple[Key, Key, Key], Fraction] = {}
-    for (k1, k2), c in t.terms():
-        for (a, b), c2 in _coproduct_graph(k2, full_subgraph_term).terms():
-            key = (k1, a, b)
-            out[key] = out.get(key, Fraction(0)) + c * c2
-    return SparseVector(out)
+    return SparseVector(
+        ((k1, a, b), c * c2)
+        for (k1, k2), c in t.terms()
+        for (a, b), c2 in _coproduct_graph(k2, full_subgraph_term).terms()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -129,11 +127,7 @@ def antipode(p: GraphPoly) -> GraphPoly:
 
 def pairing(p: GraphPoly, q: GraphPoly) -> Fraction:
     """Bilinear extension of <G1, G2> = 1 if isomorphic else 0."""
-    small, large = (p, q) if len(p) <= len(q) else (q, p)
-    total = Fraction(0)
-    for key, c in small.terms():
-        total += c * large.coeff_key(key)
-    return total
+    return p.dot(q)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ H is free commutative on connected graphs: a basis element is keyed by the
 sorted tuple of its components' canonical keys (``graphs.monomial_key``), a
 product merges tuples, and outputs list terms by ``graphs.written_key``, the
 only place a disconnected graph is canonicalized as one graph.
+
+A constructor sums (key, coefficient) pairs, so a bilinear operation hands its
+pairs to its result type; ``linear_combination`` sums whole vectors.
 """
 
 from __future__ import annotations
@@ -41,6 +44,16 @@ def sym(seq: Iterable[Hashable]) -> int:
     return prod(map(factorial, Counter(seq).values()))
 
 
+def _summed(pairs: Iterable[tuple[Hashable, Scalar]]) -> dict:
+    """The dict of (key, coefficient) pairs, adding the coefficients of equal keys."""
+    out: dict = {}
+    get = out.get
+    for k, x in pairs:
+        y = get(k)
+        out[k] = x if y is None else y + x
+    return out
+
+
 class SparseVector:
     """An immutable, finitely supported map from hashable keys to rationals.
 
@@ -48,15 +61,19 @@ class SparseVector:
     constructor takes the metadata first and ``terms`` last, and ``_meta``
     returns the metadata, so every operation here builds a result of the same
     type.  Equality compares the type, the metadata and the terms; adding
-    vectors with different metadata raises DimensionMismatch.  Zero
-    coefficients are dropped on construction and ``terms()`` is sorted, so
-    equal vectors serialize to equal bytes.
+    vectors with different metadata raises DimensionMismatch.  ``terms`` is a
+    dict or (key, coefficient) pairs, whose coefficients of equal keys are
+    added.  Zero coefficients are dropped on construction, an input dict is
+    not modified, and ``terms()`` is sorted, so equal vectors serialize to
+    equal bytes.
     """
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: dict | None = None):
-        self._terms = {k: v for k, v in (terms or {}).items() if v != 0}
+    def __init__(self, terms: dict | Iterable[tuple[Hashable, Scalar]] = ()):
+        if not isinstance(terms, dict):
+            terms = _summed(terms)
+        self._terms = {k: v for k, v in terms.items() if v != 0}
 
     def _meta(self) -> tuple:
         return ()
@@ -84,6 +101,18 @@ class SparseVector:
 
     def __len__(self) -> int:
         return len(self._terms)
+
+    def dot(self, other: "SparseVector") -> Fraction:
+        """The sum of the products of the coefficients of the keys both hold."""
+        small, large = self._terms, other._terms
+        if len(small) > len(large):
+            small, large = large, small
+        total = _ZERO
+        for k, x in small.items():
+            y = large.get(k)
+            if y is not None:
+                total += x * y
+        return total
 
     def __add__(self, other):
         return linear_combination(((self, 1), (other, 1)), self)
@@ -198,12 +227,11 @@ def poly(*graphs_and_coeffs) -> GraphPoly:
 
 def product(p: GraphPoly, q: GraphPoly) -> GraphPoly:
     """Bilinear extension of disjoint union; the empty graph is the unit."""
-    out: dict[Key, Fraction] = {}
-    for k1, c1 in p._terms.items():
-        for k2, c2 in q._terms.items():
-            key = tuple(sorted(k1 + k2))
-            out[key] = out.get(key, _ZERO) + c1 * c2
-    return GraphPoly(out)
+    return GraphPoly(
+        (tuple(sorted(k1 + k2)), c1 * c2)
+        for k1, c1 in p._terms.items()
+        for k2, c2 in q._terms.items()
+    )
 
 
 class GraphTensorPoly(SparseVector):
@@ -224,9 +252,8 @@ class GraphTensorPoly(SparseVector):
 
     def mul(self, other: "GraphTensorPoly") -> "GraphTensorPoly":
         """Componentwise product: (a (x) b)(c (x) d) = (a u c) (x) (b u d)."""
-        out: dict[tuple[Key, Key], Fraction] = {}
-        for (a, b), c1 in self._terms.items():
-            for (c, d), c2 in other._terms.items():
-                key = (tuple(sorted(a + c)), tuple(sorted(b + d)))
-                out[key] = out.get(key, _ZERO) + c1 * c2
-        return GraphTensorPoly(out)
+        return GraphTensorPoly(
+            ((tuple(sorted(a + c)), tuple(sorted(b + d))), c1 * c2)
+            for (a, b), c1 in self._terms.items()
+            for (c, d), c2 in other._terms.items()
+        )

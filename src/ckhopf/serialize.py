@@ -76,9 +76,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _indices(xs, dim: int) -> tuple[int, ...]:
-    if not isinstance(xs, list) or not all(_is_int(x) and 1 <= x <= dim for x in xs):
-        raise InvalidInput(f"{xs!r} is not a list of indices in 1..{dim}")
+def _indices(xs) -> tuple[int, ...]:
+    if not isinstance(xs, list) or not all(map(_is_int, xs)):
+        raise InvalidInput(f"{xs!r} is not a list of indices")
     return tuple(xs)
 
 
@@ -88,14 +88,11 @@ def invariant_from_doc(doc: dict) -> InvariantTensor:
         raise InvalidInput(
             'an invariant tensor is {"dimension": <integer >= 0>, "terms": [...]}'
         )
-    terms = {}
+    terms = []
     for item in doc["terms"]:
         if not isinstance(item, dict) or not isinstance(item.get("blocks"), list):
             raise InvalidInput(f"tensor term {item!r} has no list of blocks")
-        blocks = tuple(_indices(b, dim) for b in item["blocks"])
-        if () in blocks:
-            raise InvalidInput(f"tensor term {item!r} has an empty block")
-        ext = _indices(item.get("external"), dim)
-        key = (blocks, ext)
-        terms[key] = terms.get(key, Fraction(0)) + frac_from_str(item.get("coeff"))
+        blocks = tuple(map(_indices, item["blocks"]))
+        terms.append(((blocks, _indices(item.get("external"))), frac_from_str(item.get("coeff"))))
+    # the constructor rejects empty blocks and indices outside 1..dim
     return InvariantTensor(dim, terms)

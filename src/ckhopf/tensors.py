@@ -3,7 +3,8 @@
 An invariant tensor over dimension n is a rational combination of terms, each
 a multiset of internal block monomials (degree >= 1) together with an external
 monomial, all over the orthonormal basis x_1..x_n.  Everything here is built
-from the chord invariants beta_c, which keeps O(n)-invariance automatic.
+from the chord invariants beta_c, which keeps O(n)-invariance automatic.  Each
+operation hands its (term, coefficient) pairs to ``InvariantTensor`` to sum.
 
 The graph-to-tensor map ``phi`` block-symmetrizes beta_c along a block
 presentation of the graph; ``psi`` inverts it by evaluating an invariant lift
@@ -19,8 +20,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, pairwise
-from math import factorial
+from itertools import accumulate, chain, pairwise
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .chords import (
@@ -40,7 +41,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import HalfEdgeGraph
-from .poly import GraphPoly, SparseVector, linear_combination, sym
+from .poly import GraphPoly, Scalar, SparseVector, _summed, linear_combination, sym
 
 Blocks = tuple[tuple[int, ...], ...]
 Mono = tuple[int, ...]
@@ -54,21 +55,25 @@ def _norm_term(blocks: Iterable[Sequence[int]], external: Sequence[int]) -> Term
 class InvariantTensor(SparseVector):
     """Sparse rational combination of block-monomial terms over dimension n.
 
-    The constructor takes terms in any order: it sorts each block, the block
-    list and the external monomial, and adds the coefficients of terms that
-    become equal.  So every stored block and external monomial is sorted.
+    The constructor takes terms, as a dict or as (term, coefficient) pairs, in
+    any order: it sorts each block, the block list and the external monomial,
+    and adds the coefficients of terms that become equal.  So every stored
+    block and external monomial is sorted.  An empty block or an index outside
+    1..dim raises InvalidInput, whatever the coefficient; over the dim -1 that
+    ``project_to`` may reach, only the term without indices is left.
     """
 
     __slots__ = ("dim",)
 
-    def __init__(self, dim: int, terms: dict[Term, Fraction] | None = None):
+    def __init__(self, dim: int, terms: dict[Term, Scalar] | Iterable[tuple[Term, Scalar]] = ()):
         self.dim = dim
-        merged: dict[Term, Fraction] = {}
-        for (blocks, ext), c in (terms or {}).items():
-            term = _norm_term(blocks, ext)
-            old = merged.get(term)
-            merged[term] = c if old is None else old + c
-        super().__init__(merged)
+        items = terms.items() if isinstance(terms, dict) else terms
+        terms = _summed((_norm_term(blocks, ext), c) for (blocks, ext), c in items)
+        for blocks, ext in terms:
+            # each block and the external monomial is sorted
+            if () in blocks or any(b[0] < 1 or b[-1] > dim for b in (*blocks, ext) if b):
+                raise InvalidInput(f"{(blocks, ext)!r} has an empty block or an index outside 1..{dim}")
+        super().__init__(terms)
 
     def _meta(self) -> tuple:
         return (self.dim,)
@@ -108,8 +113,7 @@ def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
     if f.length != shape.total:
         raise ShapeMismatch(f"raw length {f.length} != shape total {shape.total}")
     cuts = list(accumulate(shape.internal, initial=0))
-    # distinct words cut to distinct unsorted terms; the constructor merges them
-    return InvariantTensor(f.dim, {_cut(word, cuts): c for word, c in f._terms.items()})
+    return InvariantTensor(f.dim, ((_cut(word, cuts), c) for word, c in f._terms.items()))
 
 
 @lru_cache(maxsize=None)
@@ -131,12 +135,12 @@ def tensor_mul(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
     """Union of block multisets and product of external monomials, bilinearly."""
     if t1.dim != t2.dim:
         raise DimensionMismatch("tensor product needs equal dimensions")
-    out: dict[Term, Fraction] = {}
-    for (b1, e1), c1 in t1._terms.items():
-        for (b2, e2), c2 in t2._terms.items():
-            term = (b1 + b2, e1 + e2)
-            out[term] = out.get(term, Fraction(0)) + c1 * c2
-    return InvariantTensor(t1.dim, out)
+    terms = (
+        ((b1 + b2, e1 + e2), c1 * c2)
+        for (b1, e1), c1 in t1._terms.items()
+        for (b2, e2), c2 in t2._terms.items()
+    )
+    return InvariantTensor(t1.dim, terms)
 
 
 class PairTensor(SparseVector):
@@ -144,7 +148,7 @@ class PairTensor(SparseVector):
 
     __slots__ = ("dim_left", "dim_right")
 
-    def __init__(self, dim_left: int, dim_right: int, terms=None):
+    def __init__(self, dim_left: int, dim_right: int, terms=()):
         self.dim_left = dim_left
         self.dim_right = dim_right
         super().__init__(terms)
@@ -154,18 +158,12 @@ class PairTensor(SparseVector):
 
     def left_counit(self) -> InvariantTensor:
         """Collapse the left leg: keep terms whose left factor is the unit."""
-        out = {}
-        for (tl, tr), v in self._terms.items():
-            if tl == ((), ()):
-                out[tr] = out.get(tr, Fraction(0)) + v
-        return InvariantTensor(self.dim_right, out)
+        kept = ((tr, v) for (tl, tr), v in self._terms.items() if tl == ((), ()))
+        return InvariantTensor(self.dim_right, kept)
 
     def right_counit(self) -> InvariantTensor:
-        out = {}
-        for (tl, tr), v in self._terms.items():
-            if tr == ((), ()):
-                out[tl] = out.get(tl, Fraction(0)) + v
-        return InvariantTensor(self.dim_left, out)
+        kept = ((tl, v) for (tl, tr), v in self._terms.items() if tr == ((), ()))
+        return InvariantTensor(self.dim_left, kept)
 
 
 def tensor_delta(t: InvariantTensor, m: int, n: int) -> PairTensor:
@@ -180,29 +178,23 @@ def tensor_delta(t: InvariantTensor, m: int, n: int) -> PairTensor:
         raise InvalidInput(f"the dimensions m and n must be nonnegative, not {m} and {n}")
     if t.dim != m + n:
         raise DimensionMismatch(f"tensor dimension {t.dim} != m + n = {m + n}")
-    out: dict = {}
+    splits = []
     for (blocks, ext), c in t._terms.items():
         # blocks and the external monomial are stored sorted, so the sides stay sorted
         left = tuple(b for b in blocks if b[-1] <= m)
         right = tuple(tuple(x - m for x in b) for b in blocks if b[0] > m)
-        if len(left) + len(right) < len(blocks):
-            continue
-        cut = bisect_right(ext, m)
-        pair = (left, ext[:cut]), (right, tuple(x - m for x in ext[cut:]))
-        out[pair] = out.get(pair, Fraction(0)) + c
-    return PairTensor(m, n, out)
-
-
-def _match_count(block: Mono, ext: Mono) -> int:
-    """Number of slot bijections matching equal values, counted over positions."""
-    return sym(block) if block == ext else 0
+        if len(left) + len(right) == len(blocks):
+            cut = bisect_right(ext, m)
+            splits.append((((left, ext[:cut]), (right, tuple(x - m for x in ext[cut:]))), c))
+    return PairTensor(m, n, splits)
 
 
 def tensor_prelie(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
     """Pre-Lie contraction of a block of t1 against the external monomial of t2.
 
-    Both arguments must lie in l_plus: every homogeneous component of bigrade
-    (N, k) has N > k.
+    A block equal to the external monomial e2 contracts against it in sym(e2)
+    ways: the slot bijections that match equal values.  Both arguments must
+    lie in l_plus: every homogeneous component of bigrade (N, k) has N > k.
     """
     if t1.dim != t2.dim:
         raise DimensionMismatch("pre-Lie product needs equal dimensions")
@@ -210,19 +202,14 @@ def tensor_prelie(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
         for N, k in t.bigrades():
             if N <= k:
                 raise NotInLPlus(f"component of bigrade ({N},{k}) is not in l_plus")
-    out: dict[Term, Fraction] = {}
-    for (b1, e1), c1 in t1._terms.items():
-        for (b2, e2), c2 in t2._terms.items():
-            l0 = len(e2)
-            for i, block in enumerate(b1):
-                if len(block) != l0:
-                    continue
-                matches = _match_count(block, e2)
-                if not matches:
-                    continue
-                term = (b1[:i] + b1[i + 1 :] + b2, e1)
-                out[term] = out.get(term, Fraction(0)) + c1 * c2 * matches
-    return InvariantTensor(t1.dim, out)
+    terms = (
+        ((b1[:i] + b1[i + 1 :] + b2, e1), c1 * c2 * sym(e2))
+        for (b1, e1), c1 in t1._terms.items()
+        for (b2, e2), c2 in t2._terms.items()
+        for i, block in enumerate(b1)
+        if block == e2
+    )
+    return InvariantTensor(t1.dim, terms)
 
 
 def project(t: InvariantTensor) -> InvariantTensor:
@@ -250,17 +237,14 @@ def apply_signed_permutation(
     t: InvariantTensor, perm: Sequence[int], signs: Sequence[int]
 ) -> InvariantTensor:
     """Act by the orthogonal map x_i -> signs[i] * x_perm[i] (1-based tables)."""
-    out: dict[Term, Fraction] = {}
-    for (blocks, ext), c in t._terms.items():
-        sign = 1
-        for x in [x for b in blocks for x in b] + list(ext):
-            sign *= signs[x - 1]
-        term = (
-            tuple(tuple(perm[x - 1] for x in b) for b in blocks),
-            tuple(perm[x - 1] for x in ext),
+    terms = (
+        (
+            (tuple(tuple(perm[x - 1] for x in b) for b in blocks), tuple(perm[x - 1] for x in ext)),
+            c * prod(signs[x - 1] for x in chain(ext, *blocks)),
         )
-        out[term] = out.get(term, Fraction(0)) + c * sign
-    return InvariantTensor(t.dim, out)
+        for (blocks, ext), c in t._terms.items()
+    )
+    return InvariantTensor(t.dim, terms)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import Callable
 from . import hopf, insertion
 from .chords import beta, enumerate_chords, pair_raw, z_coinv
 from .corpus import connected_corpus, default_corpus, named_graph
-from .errors import ResourceBound
+from .errors import InvalidInput, ResourceBound
 from .graphs import (
     HalfEdgeGraph,
     automorphism_count,
@@ -739,7 +739,7 @@ def run_suite(
 ) -> VerificationReport:
     """Run one named suite (or ``all``) and return its report."""
     if name != "all" and name not in _SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from {suite_names()}")
+        raise InvalidInput(f"unknown suite {name!r}; choose from {suite_names()}")
     if max_edges > 6 or dim > 8:
         raise ResourceBound("suites are desk scale: max_edges <= 6, dim <= 8")
     params = {

@@ -16,6 +16,7 @@ from ckhopf.corpus import named_graph
 from ckhopf.errors import (
     DimensionTooSmall,
     EmptyVertexUnsupported,
+    InvalidInput,
     LengthMismatch,
     ShapeMismatch,
 )
@@ -33,6 +34,11 @@ def test_chord_rejects_non_partition():
         ChordDiagram.of([(1, 2), (2, 3)])
     with pytest.raises(ShapeMismatch):
         ChordDiagram.of([(1, 1)])
+
+
+def test_enumerate_chords_rejects_negative_count():
+    with pytest.raises(InvalidInput):
+        enumerate_chords(-1)
 
 
 def test_enumerate_chords_counts():

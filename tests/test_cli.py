@@ -148,6 +148,9 @@ def test_aut_malformed_file_exits_2(tmp_path, capsys, content):
         {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[1, 9]], "external": []}]},
         {"dimension": 2, "terms": [{"coeff": 0.1, "blocks": [[1, 1]], "external": []}]},
         {"dimension": "2", "terms": []},
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[]], "external": []}]},
+        {"dimension": 2, "terms": [{"coeff": "1/1", "blocks": [[0, 1]], "external": []}]},
+        {"dimension": 2, "terms": [{"coeff": "0/1", "blocks": [], "external": [3]}]},
     ],
 )
 @pytest.mark.parametrize("command", [["psi"], ["delta", "--m", "1", "--n", "1"]])

@@ -19,10 +19,18 @@ import pytest
 from ckhopf import hopf
 from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus, named_graph
+from ckhopf.errors import CKHopfError
 from ckhopf.graphs import disjoint_union
 from ckhopf.poly import GraphPoly
 from ckhopf.serialize import dumps, poly_to_doc
-from ckhopf.tensors import InvariantTensor, tensor_delta
+from ckhopf.tensors import (
+    InvariantTensor,
+    apply_signed_permutation,
+    project_to,
+    tensor_delta,
+    tensor_mul,
+    tensor_prelie,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -60,6 +68,12 @@ STAR_TABLE_SHA256 = "72f2f4f8b29086983319e97ca18421e652efd0b4ca60a9bf81685f93e95
 # random tensors that are not phi images: blocks straddling m, repeated
 # blocks, repeated external indices, every m from 0 to dim, and dim 0.
 DELTA_TABLE_SHA256 = "0913bc423a4e02109ee57ca5ded5eca4e1d2830d55c2dbf1b61841b19764c224"
+
+# sha256 of tensor_mul, tensor_prelie (or the name of the error it raises),
+# apply_signed_permutation, project_to and both counits of tensor_delta, one
+# line per result, over seeded random tensors and over pairs drawn from those
+# random tensors that lie in l_plus, where the pre-Lie product is defined.
+TENSOR_TABLE_SHA256 = "b70410b474cc6ed6042021789ca5ca7ef48cae34c168a086903f51db5eda91d2"
 
 
 def json_output(capsys, argv):
@@ -118,6 +132,45 @@ def test_delta_table_digest():
                 lines.append(f"{dim} {m} {list(tensor_delta(t, m, dim - m).terms())!r}")
     digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
     assert digest == DELTA_TABLE_SHA256
+
+
+def _in_l_plus(t: InvariantTensor) -> bool:
+    try:
+        return all(N > k for N, k in t.bigrades())
+    except CKHopfError:
+        return False
+
+
+def _prelie_line(t1: InvariantTensor, t2: InvariantTensor) -> str:
+    try:
+        return f"prelie {list(tensor_prelie(t1, t2).terms())!r}"
+    except CKHopfError as exc:
+        return f"prelie {type(exc).__name__}"
+
+
+def test_tensor_table_digest():
+    rng = random.Random(1998)
+    lines = []
+    for dim in range(6):
+        for _ in range(30):
+            t1, t2 = _random_tensor(rng, dim), _random_tensor(rng, dim)
+            lines.append(f"{dim} mul {list(tensor_mul(t1, t2).terms())!r}")
+            lines.append(f"{dim} {_prelie_line(t1, t2)}")
+            perm = rng.sample(range(1, dim + 1), dim)
+            signs = [rng.choice((1, -1)) for _ in range(dim)]
+            signed = apply_signed_permutation(t1, perm, signs)
+            lines.append(f"{dim} {perm} {signs} {list(signed.terms())!r}")
+            for n in range(dim + 1):
+                lines.append(f"{dim} project {n} {list(project_to(t1, n).terms())!r}")
+            for m in range(dim + 1):
+                d = tensor_delta(t1, m, dim - m)
+                lines.append(f"{dim} {m} left {list(d.left_counit().terms())!r}")
+                lines.append(f"{dim} {m} right {list(d.right_counit().terms())!r}")
+    for dim in range(1, 4):
+        pool = [t for t in (_random_tensor(rng, dim) for _ in range(300)) if _in_l_plus(t)][:12]
+        lines.extend(f"{dim} {_prelie_line(t1, t2)}" for t1 in pool for t2 in pool)
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == TENSOR_TABLE_SHA256
 
 
 def test_star_table_digest():

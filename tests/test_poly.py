@@ -25,6 +25,40 @@ def test_zero_terms_dropped_and_sorted():
     assert -v == v.scale(-1) == -1 * v
 
 
+def test_constructor_sums_pairs():
+    # terms that a constructor puts in one normal form are summed
+    terms = {(((2, 1),), (3,)): Fraction(1, 2), (((1, 2),), (3,)): 1, ((), ()): 5}
+    given = dict(terms)
+    t = InvariantTensor(3, terms)
+    assert list(t.terms()) == [(((), ()), 5), ((((1, 2),), (3,)), Fraction(3, 2))]
+    assert terms == given
+    # and dropped when they cancel
+    cancel = {(((2, 1),), ()): Fraction(2, 3), (((1, 2),), ()): Fraction(-2, 3)}
+    assert InvariantTensor(2, cancel).is_zero()
+    v = SparseVector({"a": Fraction(0), "b": Fraction(3)})
+    assert list(v.terms()) == [("b", 3)]
+    assert v == SparseVector({"b": 3})
+
+
+def test_constructor_takes_pair_iterables():
+    pairs = [("b", Fraction(1, 2)), ("a", 1), ("b", Fraction(1, 2)), ("c", 2), ("c", -2)]
+    v = SparseVector(p for p in pairs)
+    assert list(v.terms()) == [("a", 1), ("b", 1)]
+    assert v == SparseVector(pairs) == SparseVector({"a": 1, "b": 1})
+    assert SparseVector(iter([])).is_zero()
+    terms = ((((2, 1),), (3,)), 1), ((((1, 2),), (3,)), Fraction(1, 2)), (((), ()), 0)
+    t = InvariantTensor(3, (term for term in terms))
+    assert list(t.terms()) == [((((1, 2),), (3,)), Fraction(3, 2))]
+    assert RawTensor(2, 2, [((1, 1), 1), ((1, 1), -1)]).is_zero()
+
+
+def test_dot_sums_over_shared_keys():
+    a = SparseVector({"x": Fraction(1, 2), "y": 3})
+    b = SparseVector({"y": Fraction(2, 3), "z": 5, "w": 1})
+    assert a.dot(b) == b.dot(a) == 2
+    assert a.dot(SparseVector()) == 0
+
+
 def test_equality_needs_same_type_and_space():
     terms = {b"k": Fraction(1)}
     assert GraphPoly(terms) != GraphTensorPoly(terms)

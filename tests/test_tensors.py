@@ -409,3 +409,27 @@ def test_unsorted_block_straddles_in_delta():
     # the block x1*x2 straddles m = 1, so the term has no split
     t = InvariantTensor(2, {(((2, 1),), ()): 1})
     assert tensor_delta(t, 1, 1).is_zero()
+
+
+@pytest.mark.parametrize(
+    "term",
+    [(((),), ()), (((1, 2), ()), (1,)), (((9, 9),), ()), (((0, 1),), ()), ((), (1, 3))],
+)
+def test_constructor_rejects_bad_blocks_and_indices(term):
+    with pytest.raises(InvalidInput):
+        InvariantTensor(2, {term: 1})
+    with pytest.raises(InvalidInput):
+        InvariantTensor(2, [(term, 1)])
+    with pytest.raises(InvalidInput):
+        InvariantTensor(2, {term: 0})
+
+
+def test_constructor_checks_indices_against_dim():
+    assert not InvariantTensor(3, {(((3, 3),), ()): 1}).is_zero()
+    assert InvariantTensor(0, {((), ()): 1}) == InvariantTensor.unit(0)
+    with pytest.raises(InvalidInput):
+        InvariantTensor(0, {((), (1,)): 1})
+    # a projection may reach dim -1, where only the scalar term is left
+    assert project_to(InvariantTensor.unit(2), -1) == InvariantTensor.unit(-1)
+    with pytest.raises(InvalidInput):
+        InvariantTensor(-1, {((), (1,)): 1})

@@ -1,6 +1,9 @@
 import json
 
+import pytest
+
 from ckhopf import verify
+from ckhopf.errors import InvalidInput
 from ckhopf.graphs import graph
 from ckhopf.serialize import dumps
 from ckhopf.tensors import phi
@@ -10,6 +13,11 @@ from ckhopf.verify import run_suite, suite_names
 def test_suite_names():
     names = suite_names()
     assert "hopf" in names and "all" in names
+
+
+def test_unknown_suite_is_invalid_input():
+    with pytest.raises(InvalidInput):
+        run_suite("bogus")
 
 
 def test_report_structure():
