@@ -16,13 +16,15 @@ from pathlib import Path
 
 import pytest
 
-from ckhopf import hopf
+from ckhopf import hopf, insertion, poly, tensors, verify
+from ckhopf.chords import enumerate_chords
 from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import CKHopfError
-from ckhopf.graphs import disjoint_union
+from ckhopf.graphs import GradeTriple, disjoint_union
 from ckhopf.poly import GraphPoly
 from ckhopf.serialize import dumps, poly_to_doc
+from ckhopf.verify import run_suite
 from ckhopf.tensors import (
     InvariantTensor,
     apply_signed_permutation,
@@ -59,6 +61,21 @@ TEXT_CASES = {
 VERIFY_GRADING_SHA256 = "ec5cda02de527676360ee9a0c83d6260a40981f78ed3bfb51930c6d706f0faa9"
 VERIFY_DUALITY_SHA256 = "f293d0e975e6ba0b7ea9a7fbe2afdd88c1f7df538409f1bda4ac3841f78c5f4b"
 VERIFY_BIALGEBRA_SHA256 = "786cdf09710956f060fdb8e35fb3a350ad38ee16a74946a79289d859ff35eccc"
+
+# sha256 of ``verify --suite <s> --format json`` at the default window.
+VERIFY_SUITE_SHA256 = {
+    "hopf": "7b0cc8e4da267e81287133354955dd7ae227bd0c90f013c4960db471c4778fbf",
+    "prelie": "b4a10ad598bc57bfafcad1f3e908d97260a5df8d3746e6e5419c9e3243706082",
+    "invariants": "ddee2e241f373bfec17264205e5f5c555fd081715d4f5b23523feeaba651f2bb",
+    "main-theorem": "a58845f493b40e3fcb64d87939cba14abedbf2594338e68d26e3027e45711251",
+    "roundtrip": "2b71614663ac25f5d62c62f38254e7b6a401c94987354e6be7ec6423a5e0f237",
+    "oracles": "8129f21a2d6875c0e1bd1d7e4237a261e0c3a7046f7d20bda52d21a32b1e9b15",
+}
+
+# sha256 of the JSON reports of every suite at the default window with the
+# faults of ``VERIFY_FAULTS`` injected, one line per suite.  Passing reports
+# carry no counterexample, so these pin the counterexample documents.
+VERIFY_FAULTS_SHA256 = "38a944f0ebdb871cd1c21a3fe267392ca47c24799084726ef035d1fdfdc731bc"
 
 # sha256 of the JSON documents of star_product(a, b), one line per ordered
 # pair, over the connected classes with at most 2 edges and two unions.
@@ -104,6 +121,56 @@ def test_verify_grading_digest(capsys):
 def test_verify_suite_digest(capsys, suite, digest):
     out = json_output(capsys, ["verify", "--suite", suite])
     assert hashlib.sha256(out.encode("ascii")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("suite", sorted(VERIFY_SUITE_SHA256))
+def test_verify_default_window_digest(capsys, suite):
+    out = json_output(capsys, ["verify", "--suite", suite])
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_SUITE_SHA256[suite]
+
+
+_INSERTION = insertion.insertion_product
+
+# (module, name, replacement) per suite; verify looks each name up at call time.
+VERIFY_FAULTS = {
+    "hopf": [
+        (verify, "product", lambda p, q: poly.product(p, q).scale(2)),
+        (hopf, "pairing", lambda p, q: Fraction(1)),
+    ],
+    "grading": [(verify, "grade_of", lambda key: GradeTriple(0, 0, 0))],
+    "duality": [(hopf, "star_product", poly.product)],
+    "prelie": [(insertion, "insertion_product", lambda a, b: _INSERTION(b, a))],
+    "invariants": [
+        (verify, "apply_signed_permutation", lambda t, perm, signs: t.zero(t.dim)),
+        (verify, "enumerate_chords", lambda n: enumerate_chords(n)[:-1]),
+        (verify, "pair_raw", lambda a, b: 0),
+    ],
+    "bialgebra": [(verify, "tensor_delta", lambda t, m, n: tensors.tensor_delta(t, m, n).scale(2))],
+    "main-theorem": [(verify, "tensor_prelie", lambda a, b: tensors.tensor_prelie(b, a))],
+    "roundtrip": [(verify, "psi", lambda t: poly.GraphPoly())],
+    "oracles": [
+        (verify, "oracle_aut", lambda g: 0),
+        (verify, "oracle_iso", lambda g1, g2: g1 == g2),
+        (verify, "oracle_enumerate", lambda n: []),
+    ],
+}
+
+
+def test_verify_fault_digest(monkeypatch):
+    lines, shapes = [], set()
+    for suite, faults in VERIFY_FAULTS.items():
+        with monkeypatch.context() as m:
+            for module, name, fake in faults:
+                m.setattr(module, name, fake)
+            report = run_suite(suite)
+        assert not report.passed
+        shapes.update(tuple(c.counterexample) for c in report.checks if c.counterexample)
+        lines.append(dumps(report.to_json_dict()))
+    keys = {k for shape in shapes for k in shape}
+    assert {("graph",), ("g1", "g2"), ("g1", "g2", "g3")} <= shapes
+    assert {"perm", "signs", "n", "side", "star", "expected"} <= keys
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == VERIFY_FAULTS_SHA256
 
 
 def _random_tensor(rng: random.Random, dim: int) -> InvariantTensor:
