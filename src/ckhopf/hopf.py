@@ -81,7 +81,7 @@ def _coproduct_graph(key: Key, full: bool) -> GraphTensorPoly:
 
 def coproduct(p: GraphPoly, full_subgraph_term: bool = False) -> GraphTensorPoly:
     return linear_combination(
-        ((_coproduct_graph(key, full_subgraph_term), c) for key, c in p.terms()),
+        ((_coproduct_graph(key, full_subgraph_term), c) for key, c in p._terms.items()),
         GraphTensorPoly(),
     )
 
@@ -90,8 +90,8 @@ def coproduct_on_left(t: GraphTensorPoly, full_subgraph_term: bool = False) -> S
     """(coproduct (x) id) applied to an element of H (x) H."""
     return SparseVector(
         ((a, b, k2), c * c2)
-        for (k1, k2), c in t.terms()
-        for (a, b), c2 in _coproduct_graph(k1, full_subgraph_term).terms()
+        for (k1, k2), c in t._terms.items()
+        for (a, b), c2 in _coproduct_graph(k1, full_subgraph_term)._terms.items()
     )
 
 
@@ -99,8 +99,8 @@ def coproduct_on_right(t: GraphTensorPoly, full_subgraph_term: bool = False) -> 
     """(id (x) coproduct) applied to an element of H (x) H."""
     return SparseVector(
         ((k1, a, b), c * c2)
-        for (k1, k2), c in t.terms()
-        for (a, b), c2 in _coproduct_graph(k2, full_subgraph_term).terms()
+        for (k1, k2), c in t._terms.items()
+        for (a, b), c2 in _coproduct_graph(k2, full_subgraph_term)._terms.items()
     )
 
 
@@ -122,7 +122,9 @@ def _antipode_graph(key: Key) -> GraphPoly:
 
 def antipode(p: GraphPoly) -> GraphPoly:
     """Antipode for the default subgraph range, extended multiplicatively."""
-    return linear_combination(((_antipode_graph(key), c) for key, c in p.terms()), GraphPoly())
+    return linear_combination(
+        ((_antipode_graph(key), c) for key, c in p._terms.items()), GraphPoly()
+    )
 
 
 def pairing(p: GraphPoly, q: GraphPoly) -> Fraction:
@@ -214,7 +216,11 @@ def star_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
     if any(vertex in key for p in (a, b) for key in p._terms):
         raise InvalidInput("the star product is not defined on graphs with an empty vertex")
     return linear_combination(
-        ((_star_basis(ka, kb), ca * cb) for ka, ca in a.terms() for kb, cb in b.terms()),
+        (
+            (_star_basis(ka, kb), ca * cb)
+            for ka, ca in a._terms.items()
+            for kb, cb in b._terms.items()
+        ),
         GraphPoly(),
     )
 

@@ -119,7 +119,11 @@ def insertion_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
     """Bilinear extension of the insertion sum.  Valency mismatches give zero,
     and so does a g2 with an edge between two external vertices."""
     return linear_combination(
-        ((_insertion_basis(k1, k2), c1 * c2) for k1, c1 in a.terms() for k2, c2 in b.terms()),
+        (
+            (_insertion_basis(k1, k2), c1 * c2)
+            for k1, c1 in a._terms.items()
+            for k2, c2 in b._terms.items()
+        ),
         GraphPoly(),
     )
 

@@ -3,8 +3,9 @@ import json
 import pytest
 
 from ckhopf import verify
-from ckhopf.errors import InvalidInput
-from ckhopf.graphs import graph
+from ckhopf.cli import main
+from ckhopf.errors import InvalidInput, ResourceBound
+from ckhopf.graphs import graph, to_json_dict
 from ckhopf.serialize import dumps
 from ckhopf.tensors import phi
 from ckhopf.verify import run_suite, suite_names
@@ -82,7 +83,7 @@ def test_phi_psi_on_image_skips_graphs_above_the_dimension():
     # psi is 0 on bigrade N > n by definition, while phi(rose5, 4) is not
     rose5 = graph(edges=[(2 * i, 2 * i + 1) for i in range(5)], vertices=[tuple(range(10))])
     assert not phi(rose5, 4).is_zero()
-    assert verify._check_phi_psi([rose5], 4) is None
+    assert verify._check_phi_psi(rose5, 4) is None
 
 
 def test_roundtrip_reports_skipped_graphs():
@@ -90,3 +91,41 @@ def test_roundtrip_reports_skipped_graphs():
     assert rep.passed
     check = next(c for c in rep.checks if c.name == "phi-psi-identity-on-image")
     assert check.details == "skipped 20 graphs with more edges than dim 1"
+
+
+def test_run_records_the_first_counterexample():
+    report = verify.VerificationReport("demo", {})
+    check = verify._run(report, "even", range(1, 9), lambda i: {"i": i} if i % 3 == 0 else None)
+    assert report.checks == [check]
+    assert not check.passed and check.counterexample == {"i": 3}
+    assert verify._run(report, "none", [], lambda i: {"i": i}).passed
+
+
+def test_run_fails_only_its_check_when_its_instances_raise():
+    def instances():
+        yield 1
+        raise ResourceBound("enumeration exceeded budget of 1 steps")
+
+    report = verify.VerificationReport("demo", {})
+    check = verify._run(report, "lazy", instances(), lambda i: None, gating=False)
+    assert not check.passed and not check.gating and check.counterexample is None
+    assert check.details == "error: ResourceBound: enumeration exceeded budget of 1 steps"
+
+
+def test_docs_names_one_graph_or_several(loop1, twoleg):
+    assert verify._docs(loop1, n=2) == {"graph": to_json_dict(loop1), "n": 2}
+    doc = verify._docs(loop1, twoleg, loop1, side="left")
+    assert list(doc) == ["g1", "g2", "g3", "side"]
+    assert doc["g2"] == to_json_dict(twoleg)
+
+
+def test_main_theorem_passes_on_the_empty_window():
+    # no connected graph with internal edges has at most 0 edges: nothing to draw
+    assert run_suite("main-theorem", max_edges=0).passed
+    assert main(["verify", "--suite", "all", "--max-edges", "0"]) == 0
+
+
+@pytest.mark.parametrize("param", ["max_edges", "dim", "prelie_samples"])
+def test_negative_window_is_invalid_input(param):
+    with pytest.raises(InvalidInput, match=param):
+        run_suite("all", **{param: -1})
