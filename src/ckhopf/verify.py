@@ -535,9 +535,7 @@ def _suite_bialgebra(r: VerificationReport, max_edges: int, **_):
 def _check_main_theorem(pair):
     g1, g2 = pair
     n = len(g1.edges) + len(g2.edges)
-    lhs = phi_poly(
-        insertion.insertion_product(GraphPoly.from_graph(g1), GraphPoly.from_graph(g2)), n
-    )
+    lhs = phi_poly(insertion.insertion_product(*map(GraphPoly.from_graph, pair)), n)
     return _docs(g1, g2, n=n) if lhs != tensor_prelie(phi(g1, n), phi(g2, n)) else None
 
 
@@ -614,8 +612,7 @@ def _check_projection_naturality(case):
 def _suite_roundtrip(r: VerificationReport, max_edges: int, dim: int, **_):
     graphs = list(default_corpus(max_edges))
     nonempty = [g for g in graphs if not g.n_empty]
-    dims = max(dim, 4)
-    cases = ((g, n) for g in nonempty for n in range(len(g.edges), dims + 1))
+    cases = ((g, n) for g in nonempty for n in range(len(g.edges), max(dim, 4) + 1))
     _run(r, "psi-phi-identity", cases, _check_psi_phi)
     check = _run(r, "phi-psi-identity-on-image", graphs, lambda g: _check_phi_psi(g, dim))
     skipped = sum(len(g.edges) > dim for g in graphs)
