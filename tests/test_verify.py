@@ -95,7 +95,7 @@ def test_roundtrip_reports_skipped_graphs():
 
 def test_run_records_the_first_counterexample():
     report = verify.VerificationReport("demo", {})
-    check = verify._run(report, "even", range(1, 9), lambda i: {"i": i} if i % 3 == 0 else None)
+    check = verify._run(report, "thirds", range(1, 9), lambda i: {"i": i} if i % 3 == 0 else None)
     assert report.checks == [check]
     assert not check.passed and check.counterexample == {"i": 3}
     assert verify._run(report, "none", [], lambda i: {"i": i}).passed
