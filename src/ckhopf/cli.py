@@ -102,13 +102,23 @@ def _invariant_text(t: InvariantTensor) -> str:
 
 
 def _emit(text: str, out: str | None):
+    """Write to ``out`` or stdout; an output that cannot be written is a CKHopfError."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+                if not text.endswith("\n"):
+                    fh.write("\n")
+        except OSError as exc:
+            raise CKHopfError(f"cannot write to {out!r}: {exc}") from None
     else:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader is gone: point stdout at devnull so that the
+            # interpreter's final flush does not fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise CKHopfError("cannot write to stdout: the reader closed the pipe") from None
 
 
 def _parse_edges(spec: str) -> list[tuple[int, int]]:

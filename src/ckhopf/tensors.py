@@ -12,7 +12,9 @@ against the coinvariants z_c.  The lift of a term averages its words over the
 group that reorders each block, the blocks of equal size and the external
 monomial, so its value on one word is the coefficient of the word's term over
 the size of that term's orbit.  ``psi`` reads this closed form at the single
-word of each z_c and never builds the lift.
+word of each z_c and never builds the lift: one lookup per chord diagram, and
+one canonical form per block multigraph, since diagrams whose chords join the
+same blocks give isomorphic graphs and terms of equal orbit size.
 """
 
 from __future__ import annotations
@@ -59,8 +61,7 @@ class InvariantTensor(SparseVector):
     any order: it sorts each block, the block list and the external monomial,
     and adds the coefficients of terms that become equal.  So every stored
     block and external monomial is sorted.  An empty block or an index outside
-    1..dim raises InvalidInput, whatever the coefficient; over the dim -1 that
-    ``project_to`` may reach, only the term without indices is left.
+    1..dim raises InvalidInput, whatever the coefficient.
     """
 
     __slots__ = ("dim",)
@@ -219,7 +220,10 @@ def project(t: InvariantTensor) -> InvariantTensor:
 
 def project_to(t: InvariantTensor, n: int) -> InvariantTensor:
     """Drop every term containing an index above n; the result lives over n.
-    A tensor over dimension n or less is returned as it is."""
+    A tensor over dimension n or less is returned as it is, and a negative n
+    raises InvalidInput."""
+    if n < 0:
+        raise InvalidInput(f"cannot project to the negative dimension {n}")
     if n >= t.dim:
         return t
     return InvariantTensor(
@@ -276,6 +280,11 @@ def psi(t: InvariantTensor) -> GraphPoly:
     its value on that word is the term's coefficient in ``t`` divided by the
     term's orbit size; that value weights the graph of c on the shape.
 
+    The graph and the orbit size depend only on the block multigraph of c:
+    the sorted pairs of blocks its chords join, with the external positions
+    as one block.  So the coefficients are summed per block multigraph, and
+    each group costs one canonical form and one division.
+
     Requires a homogeneous tensor; a tensor of bigrade (N, k) over dimension
     n with N > n maps to zero.  On images of ``phi`` this inverts it exactly.
     """
@@ -290,11 +299,19 @@ def psi(t: InvariantTensor) -> GraphPoly:
     for sizes in sorted({tuple(sorted(map(len, blocks))) for blocks, _ in t._terms}):
         shape = BlockShape(sizes, k)
         cuts = list(accumulate(sizes, initial=0))
+        # the block of each position; the external positions share one label
+        block_of = [b for b, size in enumerate((*sizes, k)) for _ in range(size)]
+        firsts: dict[tuple, tuple] = {}
+        sums: dict[tuple, Fraction] = {}
         for c in enumerate_chords(N):
             ((word, _),) = z_coinv(c, n).terms()
             term = _norm_term(*_cut(word, cuts))
             coeff = t._terms.get(term)
             if coeff:
-                graph = GraphPoly.from_graph(graph_from_chord(shape, c))
-                summands.append((graph, coeff / _orbit_size(term)))
+                multigraph = tuple(sorted((block_of[i - 1], block_of[j - 1]) for i, j in c.pairs))
+                firsts.setdefault(multigraph, (c, term))
+                sums[multigraph] = sums.get(multigraph, 0) + coeff
+        for multigraph, (c, term) in firsts.items():
+            graph = GraphPoly.from_graph(graph_from_chord(shape, c))
+            summands.append((graph, sums[multigraph] / _orbit_size(term)))
     return linear_combination(summands, GraphPoly())

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from ckhopf.serialize import graph_to_doc, invariant_to_doc
 from ckhopf.tensors import phi
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -93,6 +97,27 @@ def test_phi_too_many_words_exits_2(capsys):
     # theta has 3 edges, so beta would enumerate 100000**3 index words
     assert main(["phi", "theta", "--dim", "100000"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # used to die with a FileNotFoundError traceback (exit 1)
+    assert main(["aut", "bubble", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write to ") and err.count("\n") == 1
+
+
+def test_closed_pipe_exits_2():
+    # used to die with a BrokenPipeError traceback (exit 1); the 159 kB of
+    # output fill the pipe, so the write is still blocked when it closes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "ckhopf.cli", "enumerate", "--edges", "5", "--format", "json"]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == 2
+    assert err.splitlines() == ["error: cannot write to stdout: the reader closed the pipe"]
 
 
 def test_unknown_graph_errors(capsys):

@@ -1,17 +1,28 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ckhopf.chords import BlockShape, ChordDiagram, beta
+from ckhopf.chords import BlockShape, ChordDiagram, beta, enumerate_chords, graph_from_chord, z_coinv
 from ckhopf.corpus import connected_corpus, default_corpus, named_graph
 from ckhopf.errors import DimensionMismatch, InhomogeneousInput, InvalidInput, NotInLPlus
-from ckhopf.graphs import disjoint_union, enumerate_by_grade, enumerate_graphs, is_isomorphic
+from ckhopf.graphs import (
+    disjoint_union,
+    enumerate_by_grade,
+    enumerate_graphs,
+    is_isomorphic,
+    monomial_key,
+)
 from ckhopf.insertion import insertion_product
 from ckhopf.poly import GraphPoly, linear_combination
 from ckhopf.tensors import (
     InvariantTensor,
     PairTensor,
+    _cut,
+    _norm_term,
+    _orbit_size,
     apply_signed_permutation,
     block_symmetrize,
     phi,
@@ -23,6 +34,7 @@ from ckhopf.tensors import (
     tensor_mul,
     tensor_prelie,
 )
+from test_canonical import _relabelled
 from test_golden import _random_tensor
 
 
@@ -258,7 +270,7 @@ def test_project_to_keeps_the_terms_with_indices_up_to_n():
     rng = random.Random(5)
     for _ in range(40):
         t = _random_tensor(rng, rng.randint(0, 5))
-        for n in range(-1, t.dim):
+        for n in range(0, t.dim):
             kept = {
                 (blocks, ext): c
                 for (blocks, ext), c in t.terms()
@@ -266,6 +278,14 @@ def test_project_to_keeps_the_terms_with_indices_up_to_n():
             }
             assert project_to(t, n) == InvariantTensor(n, kept), (t, n)
         assert project_to(t, t.dim) is t and project_to(t, t.dim + 1) is t
+
+
+def test_project_to_rejects_a_negative_dimension():
+    for dim in range(3):
+        with pytest.raises(InvalidInput):
+            project_to(InvariantTensor.unit(dim), -1)
+    with pytest.raises(InvalidInput):
+        project(InvariantTensor.unit(0))
 
 
 def test_project_commutes_with_mul():
@@ -375,6 +395,120 @@ def test_psi_divides_by_repeats_in_the_external_monomial():
     assert psi(t) == P(named_graph("freeprop")).scale(3)
 
 
+# psi groups the chord diagrams of a block shape by their block multigraph and
+# canonicalizes one graph per group.  The reference below is the loop it
+# replaced: one canonical form and one orbit-size division per diagram.
+
+
+def _psi_per_diagram(t: InvariantTensor) -> GraphPoly:
+    n = t.dim
+    if t.is_zero():
+        return GraphPoly.zero()
+    N, k = t.bigrade()
+    if N > n:
+        return GraphPoly.zero()
+    summands = []
+    for sizes in sorted({tuple(sorted(map(len, blocks))) for (blocks, _), _ in t.terms()}):
+        shape = BlockShape(sizes, k)
+        cuts = list(accumulate(sizes, initial=0))
+        for c in enumerate_chords(N):
+            ((word, _),) = z_coinv(c, n).terms()
+            term = _norm_term(*_cut(word, cuts))
+            coeff = t.coeff(*term)
+            if coeff:
+                graph = GraphPoly.from_graph(graph_from_chord(shape, c))
+                summands.append((graph, coeff / _orbit_size(term)))
+    return linear_combination(summands, GraphPoly())
+
+
+def _partitions(total: int, least: int = 1):
+    """Nondecreasing tuples of positive parts summing to ``total``."""
+    if total == 0:
+        yield ()
+    for part in range(least, total + 1):
+        for rest in _partitions(total - part, part):
+            yield (part, *rest)
+
+
+def _block_shapes(N: int):
+    """Every block shape on 2N positions with sorted internal sizes, as psi reads them."""
+    for k in range(2 * N + 1):
+        for sizes in _partitions(2 * N - k):
+            yield BlockShape(sizes, k)
+
+
+def test_psi_equals_the_per_diagram_reference_on_phi_images():
+    graphs = connected_corpus(4, plus=False)
+    assert len(graphs) == 96
+    for g in graphs:
+        t = phi(g, len(g.edges))
+        assert psi(t) == _psi_per_diagram(t) == P(g), g
+
+
+def _cut_z_tensor(rng: random.Random) -> InvariantTensor:
+    """A random tensor of one bigrade, not invariant: each term is a coinvariant
+    word under a random relabelling of its indices, cut along a random shape."""
+    N = rng.randint(1, 4)
+    n = rng.randint(N, N + 1)
+    k = rng.randint(0, 2 * N)
+    shapes = [shape for shape in _block_shapes(N) if shape.external == k]
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        shape = rng.choice(shapes)
+        ((word, _),) = z_coinv(rng.choice(enumerate_chords(N)), n).terms()
+        if rng.random() < 0.8:
+            index_map = rng.sample(range(1, n + 1), n)  # a permutation of the indices
+        else:
+            index_map = [rng.randint(1, n) for _ in range(n)]  # any map of them
+        word = [index_map[x - 1] for x in word]
+        cuts = list(accumulate(shape.internal, initial=0))
+        terms.append((_cut(word, cuts), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    return InvariantTensor(n, terms)
+
+
+def test_psi_equals_the_per_diagram_reference_on_random_tensors():
+    rng = random.Random(2012)
+    nonzero = 0
+    for _ in range(300):
+        t = _cut_z_tensor(rng)
+        expected = _psi_per_diagram(t)
+        assert psi(t) == expected, t
+        nonzero += not expected.is_zero()
+    assert nonzero >= 150
+
+
+def test_diagrams_with_one_block_multigraph_share_a_graph_and_an_orbit_size():
+    cases = 0
+    groups: dict = {}
+    for N in range(1, 5):
+        for shape in _block_shapes(N):
+            cuts = list(accumulate(shape.internal, initial=0))
+            block_of = [b for b, s in enumerate((*shape.internal, shape.external)) for _ in range(s)]
+            for c in enumerate_chords(N):
+                cases += 1
+                multigraph = tuple(sorted((block_of[i - 1], block_of[j - 1]) for i, j in c.pairs))
+                ((word, _),) = z_coinv(c, N).terms()
+                orbit = _orbit_size(_norm_term(*_cut(word, cuts)))
+                key = monomial_key(graph_from_chord(shape, c))
+                groups.setdefault((shape, multigraph), set()).add((key, orbit))
+    assert cases == 7525 and len(groups) == 1126
+    assert all(len(found) == 1 for found in groups.values())
+
+
+_WINDOW = [g for g in default_corpus(4) if not g.n_empty]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_WINDOW), st.integers(0, 10**9), st.integers(0, 2))
+def test_phi_and_psi_under_relabelling(g, seed, extra):
+    N = len(g.edges)
+    n = N + extra - 1 if N else extra
+    h = _relabelled(g, random.Random(seed))
+    t = phi(h, n)
+    assert t == phi(g, n)
+    assert psi(t) == (P(g) if N <= n else GraphPoly.zero())
+
+
 def test_beta_rank_drops_below_dimension():
     # at n = 1 every beta_c collapses to the all-ones word: rank 1, not 3
     from ckhopf.chords import beta, enumerate_chords
@@ -429,7 +563,5 @@ def test_constructor_checks_indices_against_dim():
     assert InvariantTensor(0, {((), ()): 1}) == InvariantTensor.unit(0)
     with pytest.raises(InvalidInput):
         InvariantTensor(0, {((), (1,)): 1})
-    # a projection may reach dim -1, where only the scalar term is left
-    assert project_to(InvariantTensor.unit(2), -1) == InvariantTensor.unit(-1)
     with pytest.raises(InvalidInput):
         InvariantTensor(-1, {((), (1,)): 1})
