@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
+from itertools import accumulate, pairwise, product as iproduct
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -100,12 +100,6 @@ class RawTensor(SparseVector):
     def coeff(self, word: Sequence[int]) -> Fraction:
         return self._terms.get(tuple(word), Fraction(0))
 
-    def restrict(self, n: int) -> "RawTensor":
-        """Keep only words over {1..n}."""
-        return RawTensor(
-            n, self.length, {w: v for w, v in self._terms.items() if all(x <= n for x in w)}
-        )
-
 
 # Most index words ``beta`` writes out: above the 7**7 of the largest beta a
 # verify suite at its largest window asks for (phi-equivariance-insertion).
@@ -172,20 +166,10 @@ def graph_from_chord(shape: BlockShape, c: ChordDiagram) -> HalfEdgeGraph:
     """
     if shape.total != 2 * c.size:
         raise ShapeMismatch(f"{shape!r} does not cover 2N = {2 * c.size} positions")
-    vertices = []
-    pos = 0
-    for k in shape.internal:
-        vertices.append(tuple(range(pos, pos + k)))
-        pos += k
-    external = list(range(pos, pos + shape.external))
-    vertices.extend((h,) for h in external)
-    edges = tuple(sorted((i - 1, j - 1) for i, j in c.pairs))
-    return HalfEdgeGraph(
-        edges=edges,
-        vertices=tuple(sorted(vertices)),
-        external=tuple(external),
-        n_empty=0,
-    )
+    cuts = list(accumulate(shape.internal, initial=0))
+    external = range(cuts[-1], shape.total)
+    vertices = [range(a, b) for a, b in pairwise(cuts)] + [(h,) for h in external]
+    return HalfEdgeGraph.of([(i - 1, j - 1) for i, j in c.pairs], vertices, external)
 
 
 def chord_from_graph(g: HalfEdgeGraph) -> tuple[BlockShape, ChordDiagram]:
@@ -196,10 +180,9 @@ def chord_from_graph(g: HalfEdgeGraph) -> tuple[BlockShape, ChordDiagram]:
     if g.n_empty:
         raise EmptyVertexUnsupported("empty vertices admit no chord presentation")
     _, canon = canonical_form(g)
-    ext = canon.external_set()
-    internal_vertices = [v for v in canon.vertices if not (len(v) == 1 and v[0] in ext)]
-    layout = [h for v in internal_vertices for h in v] + sorted(ext)
+    internal_vertices = canon.internal_vertices()
+    layout = [h for v in internal_vertices for h in v] + list(canon.external)
     position = {h: i + 1 for i, h in enumerate(layout)}
     pairs = [(position[a], position[b]) for a, b in canon.edges]
-    shape = BlockShape(tuple(len(v) for v in internal_vertices), len(ext))
+    shape = BlockShape(tuple(len(v) for v in internal_vertices), len(canon.external))
     return shape, ChordDiagram.of(pairs)

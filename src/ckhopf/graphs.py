@@ -5,6 +5,11 @@ A graph is a finite set of half-edges together with a partition into edges
 and a set of external vertices, each of which must be 1-valent.  Empty vertices
 are legal: they arise when a loop is contracted and count as internal vertices
 of valency zero.
+
+Every builder, here and in ``chords`` and ``insertion``, hands its raw edges,
+vertex parts and external half-edges to ``HalfEdgeGraph.of``, which puts them
+in the one normal form: labels 0..2n-1 in the order of the raw labels, sorted
+pairs, parts and lists, and empty parts counted in ``n_empty``.
 """
 
 from __future__ import annotations
@@ -54,6 +59,33 @@ class HalfEdgeGraph:
     external: tuple[int, ...]
     n_empty: int = 0
 
+    @classmethod
+    def of(
+        cls,
+        edges: Iterable[Sequence[int]],
+        vertices: Iterable[Iterable[int]],
+        external: Iterable[int],
+        n_empty: int = 0,
+    ) -> "HalfEdgeGraph":
+        """The graph in normal form: the labels in ``edges`` compacted to
+        0..2n-1 in their order, each pair and part sorted, the lists sorted,
+        and each empty part of ``vertices`` added to ``n_empty``."""
+        edges = list(edges)
+        labels = sorted({h for e in edges for h in e})
+        if labels != list(range(len(labels))):
+            order = dict(zip(labels, range(len(labels))))
+            edges = [(order[a], order[b]) for a, b in edges]
+            vertices = [[order[h] for h in v] for v in vertices]
+            external = [order[h] for h in external]
+        parts = [tuple(sorted(v)) for v in vertices]
+        # an ordered pair keeps its tuple, which a graph built from another shares
+        return cls(
+            edges=tuple(sorted(e if e[0] < e[1] else e[::-1] for e in map(tuple, edges))),
+            vertices=tuple(sorted(v for v in parts if v)),
+            external=tuple(sorted(external)),
+            n_empty=n_empty + parts.count(()),
+        )
+
     @property
     def n_half_edges(self) -> int:
         return 2 * len(self.edges)
@@ -61,9 +93,6 @@ class HalfEdgeGraph:
     @property
     def half_edges(self) -> range:
         return range(self.n_half_edges)
-
-    def is_empty(self) -> bool:
-        return not self.edges and self.n_empty == 0
 
     def external_set(self) -> frozenset[int]:
         return frozenset(self.external)
@@ -79,10 +108,6 @@ class HalfEdgeGraph:
     def internal_vertices(self) -> tuple[tuple[int, ...], ...]:
         ext = self.external_set()
         return tuple(v for v in self.vertices if not (len(v) == 1 and v[0] in ext))
-
-    def external_vertices(self) -> tuple[tuple[int, ...], ...]:
-        ext = self.external_set()
-        return tuple(v for v in self.vertices if len(v) == 1 and v[0] in ext)
 
     def vertex_of(self) -> dict[int, int]:
         """Half-edge -> index into ``vertices``."""
@@ -151,7 +176,7 @@ def validate(
             if h in seen:
                 raise OverlappingPartition(f"half-edge {h!r} occurs in two edges")
             seen.add(h)
-        norm_edges.append(tuple(sorted((order[pair[0]], order[pair[1]]))))
+        norm_edges.append((order[pair[0]], order[pair[1]]))
     if seen != label_set:
         missing = label_set - seen
         raise DanglingHalfEdge(f"half-edges {sorted(missing, key=repr)!r} occur in no edge")
@@ -159,7 +184,6 @@ def validate(
     vertex_list = [tuple(v) for v in vertices]
     seen_v: set[object] = set()
     norm_vertices = []
-    n_empty = 0
     for part in vertex_list:
         for h in part:
             if h not in label_set:
@@ -167,9 +191,7 @@ def validate(
             if h in seen_v:
                 raise OverlappingPartition(f"half-edge {h!r} occurs in two vertices")
             seen_v.add(h)
-        if not part:
-            n_empty += 1
-        norm_vertices.append(tuple(sorted(order[h] for h in part)))
+        norm_vertices.append([order[h] for h in part])
     if seen_v != label_set:
         missing = label_set - seen_v
         raise DanglingHalfEdge(f"half-edges {sorted(missing, key=repr)!r} occur in no vertex")
@@ -186,12 +208,7 @@ def validate(
     if len(set(external_h)) != len(external_h):
         raise OverlappingPartition("external vertex listed twice")
 
-    return HalfEdgeGraph(
-        edges=tuple(sorted(norm_edges)),
-        vertices=tuple(sorted(v for v in norm_vertices if v)),
-        external=tuple(sorted(external_h)),
-        n_empty=n_empty,
-    )
+    return HalfEdgeGraph.of(norm_edges, norm_vertices, external_h)
 
 
 def graph(
@@ -215,11 +232,11 @@ def graph(
 
 def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
     """Apply a bijection of half-edge labels (must be a permutation of 0..2n-1)."""
-    return HalfEdgeGraph(
-        edges=tuple(sorted(tuple(sorted((mapping[a], mapping[b]))) for a, b in g.edges)),
-        vertices=tuple(sorted(tuple(sorted(mapping[h] for h in v)) for v in g.vertices)),
-        external=tuple(sorted(mapping[h] for h in g.external)),
-        n_empty=g.n_empty,
+    return HalfEdgeGraph.of(
+        [(mapping[a], mapping[b]) for a, b in g.edges],
+        [[mapping[h] for h in v] for v in g.vertices],
+        [mapping[h] for h in g.external],
+        g.n_empty,
     )
 
 
@@ -236,14 +253,10 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 
 
 def _multigraph(g: HalfEdgeGraph):
-    nodes = g.vertices
-    V = len(nodes)
+    V = len(g.vertices)
     ext_set = g.external_set()
-    ext = [1 if (len(v) == 1 and v[0] in ext_set) else 0 for v in nodes]
-    vert_of: dict[int, int] = {}
-    for i, v in enumerate(nodes):
-        for h in v:
-            vert_of[h] = i
+    ext = [1 if (len(v) == 1 and v[0] in ext_set) else 0 for v in g.vertices]
+    vert_of = g.vertex_of()
     loops = [0] * V
     mult = [[0] * V for _ in range(V)]
     for a, b in g.edges:
@@ -391,13 +404,8 @@ def _rebuild_canonical(code, n_empty) -> HalfEdgeGraph:
         edges.append((a, b))
         members[u].append(a)
         members[v].append(b)
-    external = tuple(sorted(members[i][0] for i, entry in enumerate(code) if entry[0]))
-    return HalfEdgeGraph(
-        edges=tuple(edges),
-        vertices=tuple(sorted(tuple(sorted(m)) for m in members)),
-        external=external,
-        n_empty=n_empty,
-    )
+    external = [members[i][0] for i, entry in enumerate(code) if entry[0]]
+    return HalfEdgeGraph.of(edges, members, external, n_empty)
 
 
 def to_json_dict(g: HalfEdgeGraph) -> dict:
@@ -513,18 +521,6 @@ def is_isomorphic(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> bool:
 # Contraction, extraction, union, components
 
 
-def _normalize_surviving(edges, vertices, external, n_empty) -> HalfEdgeGraph:
-    """Order-preserving compaction of the surviving half-edge labels."""
-    alive = sorted({h for e in edges for h in e})
-    order = {h: i for i, h in enumerate(alive)}
-    return HalfEdgeGraph(
-        edges=tuple(sorted(tuple(sorted((order[a], order[b]))) for a, b in edges)),
-        vertices=tuple(sorted(tuple(sorted(order[h] for h in v)) for v in vertices if v)),
-        external=tuple(sorted(order[h] for h in external)),
-        n_empty=n_empty + sum(1 for v in vertices if not v),
-    )
-
-
 def _check_internal(g: HalfEdgeGraph, edges) -> list[tuple[int, int]]:
     internal = set(g.internal_edges())
     out = []
@@ -557,10 +553,9 @@ def contract_subgraph(g: HalfEdgeGraph, gamma: Iterable[Sequence[int]]) -> HalfE
     groups: dict[int, list[int]] = {}
     for i, v in enumerate(g.vertices):
         groups.setdefault(_root(parent, i), []).extend(h for h in v if h not in removed)
-    new_vertices = [tuple(sorted(v)) for v in groups.values()]
     # each half-edge lies in one edge, so an edge is in gamma when its first half is
     new_edges = [e for e in g.edges if e[0] not in removed]
-    return _normalize_surviving(new_edges, new_vertices, g.external, g.n_empty)
+    return HalfEdgeGraph.of(new_edges, groups.values(), g.external, g.n_empty)
 
 
 def contract_edge(g: HalfEdgeGraph, e: Sequence[int]) -> HalfEdgeGraph:
@@ -582,20 +577,17 @@ def extract_subgraph(g: HalfEdgeGraph, gamma: Iterable[Sequence[int]]) -> HalfEd
     fresh_start = g.n_half_edges
     legs = [(h, fresh_start + i) for i, h in enumerate(dangling)]
     edges = list(gamma_edges) + legs
-    vertices = [tuple(v) for v in touched] + [(fresh_start + i,) for i in range(len(dangling))]
     external = [fresh_start + i for i in range(len(dangling))]
-    return _normalize_surviving(edges, vertices, external, 0)
+    return HalfEdgeGraph.of(edges, touched + [(h,) for h in external], external)
 
 
 def disjoint_union(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> HalfEdgeGraph:
     shift = g1.n_half_edges
-    return HalfEdgeGraph(
-        edges=tuple(sorted(g1.edges + tuple((a + shift, b + shift) for a, b in g2.edges))),
-        vertices=tuple(
-            sorted(g1.vertices + tuple(tuple(h + shift for h in v) for v in g2.vertices))
-        ),
-        external=tuple(sorted(g1.external + tuple(h + shift for h in g2.external))),
-        n_empty=g1.n_empty + g2.n_empty,
+    return HalfEdgeGraph.of(
+        g1.edges + tuple((a + shift, b + shift) for a, b in g2.edges),
+        g1.vertices + tuple(tuple(h + shift for h in v) for v in g2.vertices),
+        g1.external + tuple(h + shift for h in g2.external),
+        g1.n_empty + g2.n_empty,
     )
 
 
@@ -613,7 +605,7 @@ def connected_components(g: HalfEdgeGraph) -> list[HalfEdgeGraph]:
         halves = {h for v in vertices for h in v}
         edges = [e for e in g.edges if e[0] in halves]
         external = [h for h in halves if h in ext_set]
-        comps.append(_normalize_surviving(edges, vertices, external, 0))
+        comps.append(HalfEdgeGraph.of(edges, vertices, external))
     comps.extend([EMPTY_VERTEX] * g.n_empty)
     return sorted(comps, key=canonical_key)
 
@@ -692,21 +684,11 @@ def _augment_cores(m: int, budget: _Budget) -> list[HalfEdgeGraph]:
         for placed in placements:
             budget.spend()
             vertices = [list(v) for v in core.vertices]
-            fresh: list[int] = []
-            assigned = {h for _, h in placed}
             for i, h in placed:
                 vertices[i].append(h)
-            for h in new_edge:
-                if h not in assigned:
-                    fresh.append(h)
-            vparts = [tuple(sorted(v)) for v in vertices] + [(h,) for h in fresh]
-            cand = HalfEdgeGraph(
-                edges=tuple(sorted(core.edges + (new_edge,))),
-                vertices=tuple(sorted(vparts)),
-                external=(),
-                n_empty=0,
-            )
-            key, canon = canonical_form(cand)
+            assigned = {h for _, h in placed}
+            vertices += [(h,) for h in new_edge if h not in assigned]
+            key, canon = canonical_form(HalfEdgeGraph.of(core.edges + (new_edge,), vertices, ()))
             out.setdefault(key, canon)
     return sorted(out.values(), key=canonical_key)
 
@@ -727,13 +709,7 @@ def _attach_legs(core: HalfEdgeGraph, dist: Sequence[int]) -> HalfEdgeGraph:
             vertices[i].append(h)
             edges.append((h, hp))
             ext.append(hp)
-    vparts = [tuple(sorted(v)) for v in vertices] + [(h,) for h in ext]
-    return HalfEdgeGraph(
-        edges=tuple(sorted(edges)),
-        vertices=tuple(sorted(vparts)),
-        external=tuple(sorted(ext)),
-        n_empty=0,
-    )
+    return HalfEdgeGraph.of(edges, vertices + [(h,) for h in ext], ext)
 
 
 def _connected_with_legs(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:

@@ -15,13 +15,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import NotInternalVertex, ValencyMismatch
-from .graphs import (
-    HalfEdgeGraph,
-    _normalize_surviving,
-    disjoint_union,
-    monomial_key,
-    written_key,
-)
+from .graphs import HalfEdgeGraph, disjoint_union, monomial_key, written_key
 from .poly import GraphPoly, Key, graph_from_key, linear_combination
 
 
@@ -37,7 +31,6 @@ def insert_at(
     is disbanded, each of its half-edges joining the g2-vertex its matched
     external edge was attached to.  External vertices are those of g1.
     """
-    v = tuple(sorted(v))
     if not v:
         # 0-valent site: only an empty vertex of g1, receiving a leg-less graph
         if g1.n_empty == 0:
@@ -45,8 +38,10 @@ def insert_at(
         if g2.external_edges():
             raise ValencyMismatch("0-valent site needs a graph with no external edges")
         u = disjoint_union(g1, g2)
-        return HalfEdgeGraph(u.edges, u.vertices, u.external, u.n_empty - 1)
-    if v not in g1.internal_vertices():
+        return HalfEdgeGraph.of(u.edges, u.vertices, u.external, u.n_empty - 1)
+    # the stored vertex with the half-edges of v, given in any order
+    site = next((w for w in g1.internal_vertices() if len(w) == len(v) and set(w) == set(v)), None)
+    if site is None:
         raise NotInternalVertex(f"{v!r} is not an internal vertex of g1")
     ext_edges = g2.external_edges()
     if len(g2.external) != len(ext_edges):
@@ -55,47 +50,19 @@ def insert_at(
         raise ValencyMismatch(
             f"vertex valency {len(v)} != {len(ext_edges)} external edges"
         )
-    sigma = {h: tuple(sorted(e)) for h, e in sigma.items()}
-    if set(sigma) != set(v) or set(sigma.values()) != set(ext_edges):
+    edge_sets = set(map(frozenset, ext_edges))
+    if set(sigma) != set(v) or set(map(frozenset, sigma.values())) != edge_sets:
         raise ValencyMismatch("sigma is not a bijection from v onto E_ext(g2)")
 
     shift = g1.n_half_edges
     ext2 = g2.external_set()
-    # attachment half-edge of an external edge: the end at an internal vertex
-    attach: dict[tuple[int, int], int] = {}
-    for e in ext_edges:
-        a, b = e
-        attach[e] = b if a in ext2 else a
-
-    discarded = {h for e in ext_edges for h in e}
-    # replacement map applied to g2's surviving structure
-    repl: dict[int, int] = {}
-    for h2 in g2.half_edges:
-        if h2 not in discarded:
-            repl[h2] = h2 + shift
-    site_of: dict[int, int] = {}  # g2 attachment half-edge -> half-edge of v
-    for h, e in sigma.items():
-        site_of[attach[e]] = h
-
-    edges = list(g1.edges)
-    for a, b in g2.edges:
-        if (a, b) in ext_edges:
-            continue
-        edges.append(tuple(sorted((repl[a], repl[b]))))
-
-    vertices = [tuple(w) for w in g1.vertices if tuple(w) != v]
-    n_empty = g1.n_empty + g2.n_empty
-    for w in g2.vertices:
-        if len(w) == 1 and w[0] in ext2:
-            continue
-        merged = [repl[h] for h in w if h not in discarded]
-        merged += [site_of[h] for h in w if h in site_of]
-        if merged:
-            vertices.append(tuple(sorted(merged)))
-        else:
-            n_empty += 1
-
-    return _normalize_surviving(edges, vertices, g1.external, n_empty)
+    # g2 attachment half-edge -> half-edge of v: the attachment half-edge of an
+    # external edge is its end at an internal vertex
+    site_of = {(b if a in ext2 else a): h for h, (a, b) in sigma.items()}
+    edges = g1.edges + tuple((a + shift, b + shift) for a, b in g2.internal_edges())
+    vertices = [w for w in g1.vertices if w != site]
+    vertices += [[site_of.get(h, h + shift) for h in w] for w in g2.internal_vertices()]
+    return HalfEdgeGraph.of(edges, vertices, g1.external, g1.n_empty + g2.n_empty)
 
 
 @lru_cache(maxsize=None)

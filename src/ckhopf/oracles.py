@@ -8,7 +8,7 @@ pruning, so they stay an independent check.
 from __future__ import annotations
 
 from .errors import ResourceBound
-from .graphs import HalfEdgeGraph, validate
+from .graphs import EMPTY_GRAPH, HalfEdgeGraph, validate
 
 _MAX_HALF_EDGES = 12
 
@@ -117,7 +117,7 @@ def oracle_enumerate(n_edges: int) -> list[HalfEdgeGraph]:
     with :func:`oracle_iso`.  Usable for n_edges <= 3.
     """
     if n_edges == 0:
-        return [HalfEdgeGraph((), (), (), 0)]
+        return [EMPTY_GRAPH]
     if 2 * n_edges > _MAX_HALF_EDGES:
         raise ResourceBound("oracle enumeration is for small edge counts")
     halves = list(range(2 * n_edges))

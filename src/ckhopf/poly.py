@@ -181,10 +181,6 @@ class GraphPoly(SparseVector):
     __slots__ = ()
 
     @classmethod
-    def one(cls) -> "GraphPoly":
-        return cls({EMPTY_KEY: Fraction(1)})
-
-    @classmethod
     def from_graph(cls, g: HalfEdgeGraph, coeff: Scalar = 1) -> "GraphPoly":
         return cls({monomial_key(g): _frac(coeff)})
 
@@ -205,14 +201,6 @@ class GraphPoly(SparseVector):
     def __repr__(self) -> str:
         bits = " + ".join(f"{c} * {k.decode('ascii')}" for k, c in self.written_terms())
         return f"GraphPoly({bits or 0})"
-
-    def grade_projection(self, n: int, m: int | None = None, k: int | None = None) -> "GraphPoly":
-        out = {}
-        for key, c in self._terms.items():
-            gr = grade_of(key)
-            if gr.n == n and (m is None or gr.m == m) and (k is None or gr.k == k):
-                out[key] = c
-        return GraphPoly(out)
 
 
 def poly(*graphs_and_coeffs) -> GraphPoly:
@@ -246,9 +234,6 @@ class GraphTensorPoly(SparseVector):
     def written_terms(self) -> list[tuple[tuple[bytes, bytes], Fraction]]:
         """((written key, written key), coefficient) pairs in sorted order."""
         return sorted(((written_key(a), written_key(b)), c) for (a, b), c in self._terms.items())
-
-    def coeff_pair(self, k1: Key, k2: Key) -> Fraction:
-        return self._terms.get((k1, k2), _ZERO)
 
     def mul(self, other: "GraphTensorPoly") -> "GraphTensorPoly":
         """Componentwise product: (a (x) b)(c (x) d) = (a u c) (x) (b u d)."""

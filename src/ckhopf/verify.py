@@ -506,16 +506,15 @@ def _check_delta_counit(g, m: int, n: int):
 
 
 def _pi_shift(t: InvariantTensor, m: int, n: int) -> InvariantTensor:
-    out = {}
-    for (blocks, ext), c in t.terms():
-        if any(x <= m for b in blocks for x in b) or any(x <= m for x in ext):
-            continue
-        term = (
-            tuple(sorted(tuple(sorted(x - m for x in b)) for b in blocks)),
-            tuple(sorted(x - m for x in ext)),
-        )
-        out[term] = out.get(term, Fraction(0)) + c
-    return InvariantTensor(n, out)
+    """The terms of t with every index above m, shifted down by m."""
+    return InvariantTensor(
+        n,
+        (
+            ((tuple(tuple(x - m for x in b) for b in blocks), tuple(x - m for x in ext)), c)
+            for (blocks, ext), c in t._terms.items()
+            if all(x > m for b in (*blocks, ext) for x in b)
+        ),
+    )
 
 
 def _suite_bialgebra(r: VerificationReport, max_edges: int, **_):

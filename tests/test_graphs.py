@@ -45,7 +45,7 @@ from ckhopf.oracles import oracle_aut, oracle_enumerate, oracle_iso
 
 def test_empty_description_gives_unit():
     assert validate([], [], [], []) == EMPTY_GRAPH
-    assert EMPTY_GRAPH.is_empty()
+    assert not EMPTY_GRAPH.edges and EMPTY_GRAPH.n_empty == 0
 
 
 def test_loop1_valid(loop1):
@@ -202,8 +202,9 @@ def test_extract_legs_are_fresh_and_univalent():
         g = named_graph(name)
         for e in g.internal_edges():
             out = extract_subgraph(g, [e])
-            for v in out.external_vertices():
-                assert len(v) == 1
+            vertex_of = out.vertex_of()
+            for h in out.external:
+                assert len(out.vertices[vertex_of[h]]) == 1
 
 
 # ---------------------------------------------------------------------------
