@@ -99,8 +99,6 @@ def default_corpus(max_edges: int = 3) -> tuple[HalfEdgeGraph, ...]:
 
 def connected_corpus(max_edges: int = 3, plus: bool = True) -> tuple[HalfEdgeGraph, ...]:
     """Connected classes with <= max_edges edges (``plus``: at least one internal edge)."""
-    seen: dict[bytes, HalfEdgeGraph] = {}
-    for n in range(1, max_edges + 1):
-        for g in enumerate_graphs(n, "connected_plus" if plus else "connected"):
-            seen[canonical_key(g)] = g
-    return tuple(seen[k] for k in sorted(seen))
+    filt = "connected_plus" if plus else "connected"
+    graphs = [g for n in range(1, max_edges + 1) for g in enumerate_graphs(n, filt)]
+    return tuple(sorted(graphs, key=canonical_key))

@@ -231,7 +231,10 @@ def graph(
 
 
 def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
-    """Apply a bijection of half-edge labels (must be a permutation of 0..2n-1)."""
+    """Apply a bijection of half-edge labels: a permutation of 0..2n-1, else
+    :class:`InvalidInput`."""
+    if {mapping.get(h) for h in g.half_edges} != set(g.half_edges):
+        raise InvalidInput(f"relabel needs a permutation of 0..{len(g.half_edges) - 1}, not {mapping!r}")
     return HalfEdgeGraph.of(
         [(mapping[a], mapping[b]) for a, b in g.edges],
         [[mapping[h] for h in v] for v in g.vertices],
@@ -617,10 +620,15 @@ def is_connected(g: HalfEdgeGraph) -> bool:
 # ---------------------------------------------------------------------------
 # Enumeration by isomorphism class
 #
-# Connected graphs with at least one internal edge decompose as a "core"
-# (their internal edges and internal vertices) plus external legs; cores are
-# generated by edge augmentation, legs are distributed afterwards, and
-# arbitrary graphs are multisets of connected ones.
+# The connected classes with m >= 1 internal edges and k legs are built one
+# grade from the grade below, after McKay's isomorph-free augmentation: a leg
+# added at an internal vertex when k >= 1, else an internal edge, from the
+# loop and the segment up.  Removing a leg keeps such a graph connected and
+# its vertex nonempty, and removing a suitable internal edge (one on a cycle,
+# or one to a 1-valent vertex) keeps a legless one connected, so every class
+# is reached; duplicates are merged by canonical key.  Each grade is one memo
+# entry.  The dot graphs and the free propagator (m = 0) are written down
+# directly, and arbitrary graphs are multisets of connected ones.
 
 
 def default_budget() -> int:
@@ -653,91 +661,57 @@ class _Budget:
         return value
 
 
-# Each enumeration cache maps its arguments to (classes, steps they cost).
-_CORES: dict[int, tuple[list[HalfEdgeGraph], int]] = {}
+# (m, k) -> (connected classes of grade (m + k, m, k), steps they cost)
+_CONNECTED: dict[tuple[int, int], tuple[list[HalfEdgeGraph], int]] = {}
 
 
-def _connected_cores(m: int, budget: _Budget) -> list[HalfEdgeGraph]:
-    """Connected graphs of grade (m, m, 0): internal structure only, min valency 1."""
-    if m == 0:
+def _connected(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
+    """Connected classes of grade (m + k, m, k) for m >= 1, sorted by canonical
+    key; none for any other grade."""
+    if m < 1 or k < 0:
         return []
-    return budget.memo(_CORES, m, lambda: _augment_cores(m, budget))
+    return budget.memo(_CONNECTED, (m, k), lambda: _augment(m, k, budget))
 
 
-def _augment_cores(m: int, budget: _Budget) -> list[HalfEdgeGraph]:
-    if m == 1:
-        loop = graph(edges=[(0, 1)], vertices=[(0, 1)])
-        segment = graph(edges=[(0, 1)], vertices=[(0,), (1,)])
-        return sorted({canonical_key(g): g for g in (loop, segment)}.values(), key=canonical_key)
+def _augment(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
+    """Grow each class of the grade below by one edge: a leg at an internal
+    vertex when k >= 1, else an internal edge.  One budget step per graph
+    grown, the two seeds of grade (1, 1, 0) included."""
+    if (m, k) == (1, 0):
+        loop, segment = [(0, 1)], [(0,), (1,)]
+        grown = (graph(edges=[(0, 1)], vertices=v) for v in (loop, segment))
+    elif k:
+        grown = (
+            _add_edge(g, i, len(g.vertices), leg=True)
+            for g in _connected(m, k - 1, budget)
+            for i, v in enumerate(g.vertices)
+            if v[0] not in g.external
+        )
+    else:
+        # a loop at vertex i (j == i), an edge to a fresh vertex (j == V), or to vertex j
+        grown = (
+            _add_edge(g, i, j, leg=False)
+            for g in _connected(m - 1, 0, budget)
+            for i in range(len(g.vertices))
+            for j in range(i, len(g.vertices) + 1)
+        )
     out: dict[bytes, HalfEdgeGraph] = {}
-    for core in _connected_cores(m - 1, budget):
-        n_h = core.n_half_edges
-        a, b = n_h, n_h + 1
-        new_edge = (a, b)
-        V = len(core.vertices)
-        placements = []
-        for i in range(V):
-            placements.append([(i, a), (i, b)])          # loop at vertex i
-            placements.append([(i, a)])                  # edge to a fresh 1-valent vertex
-            for j in range(i + 1, V):
-                placements.append([(i, a), (j, b)])      # edge between two vertices
-        for placed in placements:
-            budget.spend()
-            vertices = [list(v) for v in core.vertices]
-            for i, h in placed:
-                vertices[i].append(h)
-            assigned = {h for _, h in placed}
-            vertices += [(h,) for h in new_edge if h not in assigned]
-            key, canon = canonical_form(HalfEdgeGraph.of(core.edges + (new_edge,), vertices, ()))
-            out.setdefault(key, canon)
-    return sorted(out.values(), key=canonical_key)
+    for g in grown:
+        budget.spend()
+        key, canon = canonical_form(g)
+        out.setdefault(key, canon)
+    return [out[key] for key in sorted(out)]
 
 
-_WITH_LEGS: dict[tuple[int, int], tuple[list[HalfEdgeGraph], int]] = {}
-
-
-def _attach_legs(core: HalfEdgeGraph, dist: Sequence[int]) -> HalfEdgeGraph:
-    n_h = core.n_half_edges
-    edges = list(core.edges)
-    vertices = [list(v) for v in core.vertices]
-    ext = []
-    nxt = n_h
-    for i, count in enumerate(dist):
-        for _ in range(count):
-            h, hp = nxt, nxt + 1
-            nxt += 2
-            vertices[i].append(h)
-            edges.append((h, hp))
-            ext.append(hp)
-    return HalfEdgeGraph.of(edges, vertices + [(h,) for h in ext], ext)
-
-
-def _connected_with_legs(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
-    """Connected classes of grade (m + k, m, k) for m >= 1."""
-    return budget.memo(_WITH_LEGS, (m, k), lambda: _attach_all_legs(m, k, budget))
-
-
-def _attach_all_legs(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
-    out: dict[bytes, HalfEdgeGraph] = {}
-    for core in _connected_cores(m, budget):
-        V = len(core.vertices)
-        for dist in _compositions_of(k, V):
-            budget.spend()
-            cand = _attach_legs(core, dist)
-            key, canon = canonical_form(cand)
-            out.setdefault(key, canon)
-    return sorted(out.values(), key=canonical_key)
-
-
-def _compositions_of(k: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to k."""
-    if parts == 0:
-        if k == 0:
-            yield ()
-        return
-    for first in range(k + 1):
-        for rest in _compositions_of(k - first, parts - 1):
-            yield (first,) + rest
+def _add_edge(g: HalfEdgeGraph, i: int, j: int, leg: bool) -> HalfEdgeGraph:
+    """g with a new edge from vertex i to vertex j, where j == len(g.vertices)
+    is a fresh vertex, external if ``leg``."""
+    a, b = g.n_half_edges, g.n_half_edges + 1
+    parts = [list(v) for v in g.vertices] + [[]]
+    parts[i].append(a)
+    parts[j].append(b)
+    # the fresh part stays empty unless j names it, and then is no vertex
+    return HalfEdgeGraph.of(g.edges + ((a, b),), filter(None, parts), g.external + (b,) * leg)
 
 
 def dot_graph(k: int) -> HalfEdgeGraph:
@@ -756,17 +730,12 @@ def free_propagator() -> HalfEdgeGraph:
 def connected_classes(n: int, plus: bool, budget: _Budget | None = None) -> list[HalfEdgeGraph]:
     """Connected isomorphism classes with n edges (``plus``: >= 1 internal edge)."""
     budget = budget or _Budget(None)
-    out: dict[bytes, HalfEdgeGraph] = {}
-    for m in range(1, n + 1):
-        for g in _connected_with_legs(m, n - m, budget):
-            out[canonical_key(g)] = g
+    out = [g for m in range(1, n + 1) for g in _connected(m, n - m, budget)]
     if not plus and n >= 1:
-        d = dot_graph(n)
-        out[canonical_key(d)] = d
+        out.append(dot_graph(n))
         if n == 1:
-            fp = free_propagator()
-            out[canonical_key(fp)] = fp
-    return sorted(out.values(), key=canonical_key)
+            out.append(free_propagator())
+    return sorted(out, key=canonical_key)
 
 
 def enumerate_graphs(
@@ -801,7 +770,7 @@ def enumerate_by_grade(
 
 def connected_by_grade(m: int, k: int) -> list[HalfEdgeGraph]:
     """The connected classes of grade (m + k, m, k), for m >= 1."""
-    return _connected_with_legs(m, k, _Budget(None))
+    return _connected(m, k, _Budget(None))
 
 
 def _union_classes(monomials: Iterable[tuple[bytes, ...]]) -> list[HalfEdgeGraph]:

@@ -21,7 +21,14 @@ from ckhopf.chords import enumerate_chords
 from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import CKHopfError
-from ckhopf.graphs import GradeTriple, disjoint_union
+from ckhopf.graphs import (
+    GradeTriple,
+    connected_by_grade,
+    disjoint_union,
+    enumerate_by_grade,
+    enumerate_graphs,
+    to_json_dict,
+)
 from ckhopf.poly import GraphPoly
 from ckhopf.serialize import dumps, poly_to_doc
 from ckhopf.verify import run_suite
@@ -91,6 +98,12 @@ DELTA_TABLE_SHA256 = "0913bc423a4e02109ee57ca5ded5eca4e1d2830d55c2dbf1b61841b197
 # line per result, over seeded random tensors and over pairs drawn from those
 # random tensors that lie in l_plus, where the pre-Lie product is defined.
 TENSOR_TABLE_SHA256 = "b70410b474cc6ed6042021789ca5ca7ef48cae34c168a086903f51db5eda91d2"
+
+# sha256 of the JSON document of every graph, in the order listed, from
+# enumerate_graphs (n <= 5, each filter), enumerate_by_grade (each grade with
+# n <= 5) and connected_by_grade (m + k <= 6): a change of class, labelling or
+# order in the enumeration fails it.
+ENUMERATION_SHA256 = "24ce0adacc1a674784d24ae4d493fed299e3913742bee47eb7d22b7723e85be6"
 
 
 def json_output(capsys, argv):
@@ -259,3 +272,16 @@ def test_cached_coproduct_not_mutated(bubble):
     doubled = hopf.coproduct(p + p)
     assert list(hopf.coproduct(p).terms()) == before
     assert doubled == hopf.coproduct(p).scale(2)
+
+
+def test_enumeration_digest():
+    lists = []
+    for n in range(6):
+        lists += [(f"{n} {f}", enumerate_graphs(n, f)) for f in ("all", "connected", "connected_plus")]
+        for m in range(n + 1):
+            lists += [(f"{n} {m} {k}", enumerate_by_grade(n, m, k)) for k in range(2 * n + 1)]
+    for m in range(1, 7):
+        lists += [(f"{m} {k}", connected_by_grade(m, k)) for k in range(7 - m)]
+    lines = [f"{label} {dumps(to_json_dict(g))}" for label, graphs in lists for g in graphs]
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == ENUMERATION_SHA256

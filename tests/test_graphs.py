@@ -20,6 +20,7 @@ from ckhopf.graphs import (
     automorphism_count,
     canonical_form,
     canonical_key,
+    connected_by_grade,
     connected_components,
     contract_edge,
     contract_subgraph,
@@ -98,6 +99,13 @@ def test_canonical_form_invariant_under_relabeling(bubble):
     swapped = relabel(bubble, {0: 3, 3: 0, 1: 2, 2: 1})
     assert canonical_form(swapped)[0] == key
     assert canonical_key(canon) == key
+
+
+@pytest.mark.parametrize("mapping", [{0: 0, 1: 0}, {0: 5, 1: 7}, {0: 1}, {0: 1, 1: 2}])
+def test_relabel_rejects_non_permutation(loop1, mapping):
+    # a repeated, out-of-range or missing label would yield an invalid graph
+    with pytest.raises(InvalidInput):
+        relabel(loop1, mapping)
 
 
 def test_loop1_vs_dot1_distinct(loop1):
@@ -273,6 +281,23 @@ def test_enumerate_budget():
         enumerate_graphs(3, "all", budget=2)
 
 
+@pytest.mark.parametrize("filt", ["all", "connected", "connected_plus"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumerate_zero_budget(n, filt):
+    # a seed charges a step too, so nothing non-empty comes for free
+    with pytest.raises(ResourceBound):
+        enumerate_graphs(n, filt, budget=0)
+
+
+def test_enumerate_by_grade_zero_budget():
+    grades = [(n, m, k) for n in range(1, 4) for m in range(n + 1) for k in range(2 * n + 1)]
+    grades = [grade for grade in grades if enumerate_by_grade(*grade)]
+    assert len(grades) == 19
+    for grade in grades:
+        with pytest.raises(ResourceBound):
+            enumerate_by_grade(*grade, budget=0)
+
+
 def test_enumerate_rejects_bad_arguments():
     with pytest.raises(InvalidInput):
         enumerate_graphs(-1)
@@ -321,6 +346,12 @@ def test_connected_m_zero_iff_n_le_k():
         for g in enumerate_graphs(n, "connected"):
             gr = g.grade()
             assert (gr.m == 0) == (gr.n <= gr.k)
+
+
+@pytest.mark.parametrize("m, k", [(0, 0), (0, 2), (2, -1), (-1, 3)])
+def test_connected_by_grade_outside_its_range_is_empty(m, k):
+    # the m = 0 classes are the dot graphs and the free propagator, listed apart
+    assert connected_by_grade(m, k) == []
 
 
 def test_aut_wreath_product_law():
