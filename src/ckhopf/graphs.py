@@ -70,17 +70,23 @@ class HalfEdgeGraph:
         """The graph in normal form: the labels in ``edges`` compacted to
         0..2n-1 in their order, each pair and part sorted, the lists sorted,
         and each empty part of ``vertices`` added to ``n_empty``."""
-        edges = list(edges)
-        labels = sorted({h for e in edges for h in e})
-        if labels != list(range(len(labels))):
-            order = dict(zip(labels, range(len(labels))))
-            edges = [(order[a], order[b]) for a, b in edges]
-            vertices = [[order[h] for h in v] for v in vertices]
-            external = [order[h] for h in external]
+        edges = list(map(tuple, edges))
+        n = 2 * len(edges)
+        if edges == list(zip(range(0, n, 2), range(1, n, 2))):
+            # pairs (0, 1), (2, 3), ... in turn, as _rebuild_canonical emits them
+            pairs = tuple(edges)
+        else:
+            labels = sorted({h for e in edges for h in e})
+            if labels != list(range(len(labels))):
+                order = dict(zip(labels, range(len(labels))))
+                edges = [(order[a], order[b]) for a, b in edges]
+                vertices = [[order[h] for h in v] for v in vertices]
+                external = [order[h] for h in external]
+            # an ordered pair keeps its tuple, which a graph built from another shares
+            pairs = tuple(sorted(e if e[0] < e[1] else e[::-1] for e in edges))
         parts = [tuple(sorted(v)) for v in vertices]
-        # an ordered pair keeps its tuple, which a graph built from another shares
         return cls(
-            edges=tuple(sorted(e if e[0] < e[1] else e[::-1] for e in map(tuple, edges))),
+            edges=pairs,
             vertices=tuple(sorted(v for v in parts if v)),
             external=tuple(sorted(external)),
             n_empty=n_empty + parts.count(()),
@@ -321,7 +327,15 @@ def _minimal_code(V, ext, loops, mult, classes):
     under the automorphisms found so far that fix the prefix reuses its
     result.  Those start as the twin transpositions; a leaf repeating the best
     code adds ``first[i] -> order[i]`` and unwinds to where the two part.
+
+    When every class is a singleton the ordering is forced.  Equitable
+    refinement commutes with automorphisms, so each of them fixes every
+    vertex and the count is 1.
     """
+    if len(classes) == V:
+        order = [v for (v,) in classes]
+        rows = (tuple([mult[v][u] for u in order[:i]]) for i, v in enumerate(order))
+        return [(ext[v], loops[v], row) for v, row in zip(order, rows)], 1
     gens = []
     for cell in classes:
         for i, w in enumerate(cell):

@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Sequence
 
 from .errors import NotInternalVertex, ValencyMismatch
-from .graphs import HalfEdgeGraph, disjoint_union, monomial_key, written_key
+from .graphs import HalfEdgeGraph, monomial_key, written_key
 from .poly import GraphPoly, Key, graph_from_key, linear_combination
 
 
@@ -37,8 +37,7 @@ def insert_at(
             raise NotInternalVertex("g1 has no empty vertex")
         if g2.external_edges():
             raise ValencyMismatch("0-valent site needs a graph with no external edges")
-        u = disjoint_union(g1, g2)
-        return HalfEdgeGraph.of(u.edges, u.vertices, u.external, u.n_empty - 1)
+        return _graft(g1, (), {}, g2)
     # the stored vertex with the half-edges of v, given in any order
     site = next((w for w in g1.internal_vertices() if len(w) == len(v) and set(w) == set(v)), None)
     if site is None:
@@ -53,7 +52,18 @@ def insert_at(
     edge_sets = set(map(frozenset, ext_edges))
     if set(sigma) != set(v) or set(map(frozenset, sigma.values())) != edge_sets:
         raise ValencyMismatch("sigma is not a bijection from v onto E_ext(g2)")
+    return _graft(g1, site, sigma, g2)
 
+
+def _graft(
+    g1: HalfEdgeGraph,
+    site: tuple[int, ...],
+    sigma: dict[int, tuple[int, int]],
+    g2: HalfEdgeGraph,
+) -> HalfEdgeGraph:
+    """``insert_at`` on checked input: ``site`` is a stored internal vertex of
+    g1, or () for one of its empty vertices, and sigma a bijection from it onto
+    the external edges of g2."""
     shift = g1.n_half_edges
     ext2 = g2.external_set()
     # g2 attachment half-edge -> half-edge of v: the attachment half-edge of an
@@ -62,7 +72,8 @@ def insert_at(
     edges = g1.edges + tuple((a + shift, b + shift) for a, b in g2.internal_edges())
     vertices = [w for w in g1.vertices if w != site]
     vertices += [[site_of.get(h, h + shift) for h in w] for w in g2.internal_vertices()]
-    return HalfEdgeGraph.of(edges, vertices, g1.external, g1.n_empty + g2.n_empty)
+    # an empty site is one of the empty vertices of g1, used up by the graft
+    return HalfEdgeGraph.of(edges, vertices, g1.external, g1.n_empty + g2.n_empty - (not site))
 
 
 @lru_cache(maxsize=None)
@@ -71,14 +82,15 @@ def _insertion_basis(k1: Key, k2: Key) -> GraphPoly:
     ext_edges = g2.external_edges()
     if len(g2.external) != len(ext_edges):
         return GraphPoly()
+    # each v is a stored vertex and each zip a bijection, so graft unchecked
     out = Counter(
-        monomial_key(insert_at(g1, v, dict(zip(v, perm)), g2))
+        monomial_key(_graft(g1, v, dict(zip(v, perm)), g2))
         for v in g1.internal_vertices()
         if len(v) == len(ext_edges)
         for perm in permutations(ext_edges)
     )
     if not ext_edges and g1.n_empty:
-        out[monomial_key(insert_at(g1, (), {}, g2))] += g1.n_empty
+        out[monomial_key(_graft(g1, (), {}, g2))] += g1.n_empty
     return GraphPoly({key: Fraction(m) for key, m in out.items()})
 
 

@@ -299,8 +299,30 @@ def _suite_duality(r: VerificationReport, max_edges: int, **_):
 
 
 def _check_prelie_triple(triple):
-    a, b, c = map(GraphPoly.from_graph, triple)
-    return None if insertion.prelie_check(a, b, c) else _docs(*triple)
+    (a, pa), (b, pb), (c, pc) = triple
+    return None if insertion.prelie_check(pa, pb, pc) else _docs(a, b, c)
+
+
+def _with_polys(triples):
+    """Each triple of graphs as (graph, GraphPoly) pairs."""
+    for triple in triples:
+        yield tuple((g, GraphPoly.from_graph(g)) for g in triple)
+
+
+def _right_symmetry_triples(graphs):
+    """The triples (a, b, c) of (graph, GraphPoly) pairs with b no later than c
+    in ``graphs``, each GraphPoly built once.
+
+    ``assoc(a, b, c) == assoc(a, c, b)`` is symmetric in b and c whatever the
+    insertion product computes: (a, b, c) and (a, c, b) compute the same
+    products, so both fail or raise.  Of the ordered triples, the first to fail
+    or raise therefore has b no later than c, and it is the first here too:
+    the counterexample and any error text are those of all ordered triples.
+    b == c stays, since a fault in ``insertion_product(b, b)`` shows only there.
+    """
+    keyed = [(g, GraphPoly.from_graph(g)) for g in graphs]
+    pairs = list(itertools.combinations_with_replacement(keyed, 2))
+    yield from ((a, b, c) for a in keyed for b, c in pairs)
 
 
 def _check_jacobi(triple):
@@ -326,7 +348,7 @@ def _check_insertion_grading(pair):
 
 def _suite_prelie(r: VerificationReport, max_edges: int, seed: int, prelie_samples: int, **_):
     small = [g for g in connected_corpus(max_edges) if g.grade().m <= 2]
-    triples = [(a, b, c) for a in small for b in small for c in small]
+    triples = _right_symmetry_triples(small)
     _run(r, "associator-right-symmetry-exhaustive", triples, _check_prelie_triple)
 
     rng = random.Random(seed)
@@ -335,7 +357,7 @@ def _suite_prelie(r: VerificationReport, max_edges: int, seed: int, prelie_sampl
         (rng.choice(four), rng.choice(four), rng.choice(four))
         for _ in range(prelie_samples)
     ]
-    _run(r, "associator-right-symmetry-random-4edge", sampled, _check_prelie_triple)
+    _run(r, "associator-right-symmetry-random-4edge", _with_polys(sampled), _check_prelie_triple)
 
     plus = connected_corpus(max_edges)
     pairs = [(g1, g2) for g1 in plus for g2 in plus]

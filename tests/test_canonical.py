@@ -10,13 +10,19 @@ import random
 
 import pytest
 
+from ckhopf.corpus import connected_corpus
 from ckhopf.graphs import (
+    _multigraph,
+    _refine_classes,
     automorphism_count,
     canonical_key,
     enumerate_graphs,
     graph,
     relabel,
 )
+from ckhopf.insertion import insertion_product
+from ckhopf.oracles import oracle_aut
+from ckhopf.poly import GraphPoly
 
 
 def _simple_graph(n_vertices, edges, legs=()):
@@ -124,3 +130,25 @@ def test_automorphism_counts_match_networkx():
         simple = nx.Graph(edges)
         count = sum(1 for _ in GraphMatcher(simple, simple).isomorphisms_iter())
         assert count == automorphism_count(_simple_graph(n_vertices, edges)) == aut, name
+
+
+def test_discrete_refinement_agrees_with_the_oracle():
+    # insertion results mix graphs whose refinement is discrete, where the
+    # ordering is forced and |Aut| of the multigraph is 1, with graphs searched
+    plus = [GraphPoly.from_graph(g) for g in connected_corpus(3)]
+    results = {
+        canonical_key(g): g
+        for p1 in plus
+        for p2 in plus
+        for g, _ in insertion_product(p1, p2).graphs()
+        if len(g.edges) <= 6  # the oracle's 12 half-edges
+    }
+    rng = random.Random(14)
+    discrete = 0
+    for key, g in results.items():
+        V, ext, loops, mult = _multigraph(g)
+        discrete += len(_refine_classes(V, ext, loops, mult)) == V
+        copies = [_relabelled(g, rng) for _ in range(3)]
+        assert automorphism_count(copies[0]) == oracle_aut(g), key
+        assert {canonical_key(h) for h in copies} == {key}
+    assert 0 < discrete < len(results)

@@ -84,6 +84,14 @@ VERIFY_SUITE_SHA256 = {
 # carry no counterexample, so these pin the counterexample documents.
 VERIFY_FAULTS_SHA256 = "38a944f0ebdb871cd1c21a3fe267392ca47c24799084726ef035d1fdfdc731bc"
 
+# sha256 of ``verify --suite prelie --max-edges 4 --format json``, as it runs
+# and with the faults of ``VERIFY_FAULTS["prelie"]`` injected: the exhaustive
+# right-symmetry check where it is largest, counterexample included.
+VERIFY_PRELIE_E4_SHA256 = {
+    "plain": "007a59171f135dcc8559c56c23c582b6b69c627edddca177a647bb80b6762ae6",
+    "fault": "da496e4da2cd97cc0165f778183af5acaa5785d19e07128084339a75f9649f8b",
+}
+
 # sha256 of the JSON documents of star_product(a, b), one line per ordered
 # pair, over the connected classes with at most 2 edges and two unions.
 STAR_TABLE_SHA256 = "72f2f4f8b29086983319e97ca18421e652efd0b4ca60a9bf81685f93e9504b39"
@@ -184,6 +192,17 @@ def test_verify_fault_digest(monkeypatch):
     assert {"perm", "signs", "n", "side", "star", "expected"} <= keys
     digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
     assert digest == VERIFY_FAULTS_SHA256
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_PRELIE_E4_SHA256))
+def test_verify_prelie_max_edges_4_digest(capsys, monkeypatch, case):
+    if case == "fault":
+        for module, name, fake in VERIFY_FAULTS["prelie"]:
+            monkeypatch.setattr(module, name, fake)
+    argv = ["verify", "--suite", "prelie", "--max-edges", "4", "--format", "json"]
+    assert main(argv) == (1 if case == "fault" else 0)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("ascii")).hexdigest() == VERIFY_PRELIE_E4_SHA256[case]
 
 
 def _random_tensor(rng: random.Random, dim: int) -> InvariantTensor:

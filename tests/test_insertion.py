@@ -1,15 +1,21 @@
+from collections import Counter
+from fractions import Fraction
+from itertools import permutations
+
 import pytest
 
 from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import NotInternalVertex, ValencyMismatch
 from ckhopf.graphs import (
+    EMPTY_VERTEX,
     GradeTriple,
     HalfEdgeGraph,
     canonical_key,
     disjoint_union,
     is_isomorphic,
+    monomial_key,
 )
-from ckhopf.insertion import associator, insert_at, insertion_product, prelie_check
+from ckhopf.insertion import _insertion_basis, associator, insert_at, insertion_product, prelie_check
 from ckhopf.poly import GraphPoly
 
 
@@ -97,3 +103,34 @@ def test_insert_graph_with_edge_between_legs():
     site = dumbbell.internal_vertices()[0]
     with pytest.raises(ValencyMismatch):
         insert_at(dumbbell, site, {site[0]: freeprop.edges[0]}, freeprop)
+
+
+def _checked_insertion_sum(g1, g2):
+    """g1 o g2 through the public, checked insert_at: each internal vertex of
+    g1 of the right valency, listed in every order and matched in turn to the
+    external edges of g2, and each empty vertex of g1 for a leg-less g2."""
+    ext_edges = g2.external_edges()
+    out = Counter()
+    if len(g2.external) != len(ext_edges):
+        return GraphPoly()
+    for v in g1.internal_vertices():
+        if len(v) == len(ext_edges):
+            for site in permutations(v):
+                out[monomial_key(insert_at(g1, site, dict(zip(site, ext_edges)), g2))] += 1
+    if not ext_edges:
+        for _ in range(g1.n_empty):
+            out[monomial_key(insert_at(g1, (), {}, g2))] += 1
+    return GraphPoly({key: Fraction(m) for key, m in out.items()})
+
+
+def test_unchecked_grafts_match_the_checked_insertion_sum():
+    plus = connected_corpus(3)
+    # two empty vertices, so each counts in the 0-valent branch
+    host = disjoint_union(named_graph("loop1"), disjoint_union(EMPTY_VERTEX, EMPTY_VERTEX))
+    zero_valent = 0
+    for g1 in (*plus, host):
+        for g2 in plus:
+            want = _checked_insertion_sum(g1, g2)
+            assert _insertion_basis(monomial_key(g1), monomial_key(g2)) == want, (g1, g2)
+            zero_valent += g1 is host and not want.is_zero()
+    assert zero_valent > 0

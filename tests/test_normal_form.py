@@ -131,3 +131,20 @@ def test_of_normalizes_like_the_hand_written_twin():
     assert g == twin and repr(g) == repr(twin)
     for h in default_corpus(3):
         assert HalfEdgeGraph.of(h.edges, h.vertices, h.external, h.n_empty) == h
+
+
+def test_of_sorts_parts_when_the_pairs_are_already_normal():
+    # pairs (0, 1), (2, 3), ... in turn, as a canonical rebuild emits them
+    g = HalfEdgeGraph.of([[0, 1], (2, 3), (4, 5)], [(5, 4), (), (3, 1, 0), (2,)], [2])
+    twin = HalfEdgeGraph(
+        edges=((0, 1), (2, 3), (4, 5)),
+        vertices=((0, 1, 3), (2,), (4, 5)),
+        external=(2,),
+        n_empty=1,
+    )
+    assert g == twin and repr(g) == repr(twin)
+    # a reversed pair or a gap in the labels is normalized as before
+    assert HalfEdgeGraph.of([(1, 0), (2, 3)], [(0, 1, 2, 3)], []).edges == ((0, 1), (2, 3))
+    assert HalfEdgeGraph.of([(0, 1), (4, 5)], [(0, 1, 4), (5,)], [5]) == HalfEdgeGraph(
+        edges=((0, 1), (2, 3)), vertices=((0, 1, 2), (3,)), external=(3,)
+    )

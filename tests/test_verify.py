@@ -2,10 +2,12 @@ import json
 
 import pytest
 
-from ckhopf import verify
+from ckhopf import insertion, verify
 from ckhopf.cli import main
+from ckhopf.corpus import connected_corpus
 from ckhopf.errors import InvalidInput, ResourceBound
 from ckhopf.graphs import graph, to_json_dict
+from ckhopf.poly import GraphPoly
 from ckhopf.serialize import dumps
 from ckhopf.tensors import phi
 from ckhopf.verify import run_suite, suite_names
@@ -129,3 +131,23 @@ def test_main_theorem_passes_on_the_empty_window():
 def test_negative_window_is_invalid_input(param):
     with pytest.raises(InvalidInput, match=param):
         run_suite("all", **{param: -1})
+
+
+def test_exhaustive_right_symmetry_reaches_the_diagonal(monkeypatch):
+    # the exhaustive check skips (a, c, b) once it has run (a, b, c), but it
+    # must keep b == c: a fault in inserting z o z, for the last z of the pool
+    # whose z o z is nonzero and outside the pool, shows only on (a, z, z)
+    small = [GraphPoly.from_graph(g) for g in connected_corpus(3) if g.grade().m <= 2]
+    product = insertion.insertion_product
+    squares = (product(z, z) for z in reversed(small))
+    zz = next(p for p in squares if not p.is_zero() and p not in small)
+
+    def faulty(a, b):
+        if b == zz:
+            raise ValueError("fault on the diagonal")
+        return product(a, b)
+
+    monkeypatch.setattr(insertion, "insertion_product", faulty)
+    check = run_suite("prelie").checks[0]
+    assert check.name == "associator-right-symmetry-exhaustive"
+    assert check.details == "error: ValueError: fault on the diagonal"
