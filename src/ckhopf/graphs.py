@@ -18,7 +18,7 @@ import json
 import os
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from math import factorial
+from math import factorial, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -256,9 +256,10 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 # multiplicities, external flags, empty-vertex count), which is a complete
 # isomorphism invariant: vertices carry no cyclic order, so any matching of
 # vertices and of parallel edge bundles extends to a half-edge isomorphism.
-# The multigraph is ordered by color refinement, then by a search for the least
-# code over orderings compatible with the color classes, pruned by the
-# automorphisms it finds; the canonical graph is read off that code.
+# The multigraph is ordered by color refinement, then, unless every color class
+# is a set of twins, by a search for the least code over orderings compatible
+# with the color classes, pruned by the automorphisms it finds.  The canonical
+# graph, its key and its parts are read off that code, once per code.
 
 
 def _multigraph(g: HalfEdgeGraph):
@@ -328,19 +329,28 @@ def _minimal_code(V, ext, loops, mult, classes):
     result.  Those start as the twin transpositions; a leaf repeating the best
     code adds ``first[i] -> order[i]`` and unwinds to where the two part.
 
-    When every class is a singleton the ordering is forced.  Equitable
-    refinement commutes with automorphisms, so each of them fixes every
-    vertex and the count is 1.
+    When every class is a set of twins (equal multiplicities to every other
+    vertex), there is no search.  Equitable refinement commutes with
+    automorphisms and every permutation inside a twin class is one, so the
+    automorphisms are the products of those permutations: every ordering gives
+    the same code, and the count is the product of the class sizes' factorials.
+    A singleton class is a twin class, so a discrete refinement is one case.
     """
-    if len(classes) == V:
-        order = [v for (v,) in classes]
+
+    def twins(v, w):
+        return all(mult[v][x] == mult[w][x] for x in range(V) if x != v and x != w)
+
+    # twin-ness is transitive, so each class is checked against its first member
+    if all(twins(cell[0], w) for cell in classes for w in cell[1:]):
+        order = [v for cell in classes for v in cell]
         rows = (tuple([mult[v][u] for u in order[:i]]) for i, v in enumerate(order))
-        return [(ext[v], loops[v], row) for v, row in zip(order, rows)], 1
+        code = tuple([(ext[v], loops[v], row) for v, row in zip(order, rows)])
+        return code, prod([factorial(len(cell)) for cell in classes])
     gens = []
     for cell in classes:
         for i, w in enumerate(cell):
             for v in cell[:i]:
-                if all(mult[v][x] == mult[w][x] for x in range(V) if x != v and x != w):
+                if twins(v, w):
                     gens.append([w if x == v else v if x == w else x for x in range(V)])
                     break
     cell_at = [cell for cell in classes for _ in cell]
@@ -396,7 +406,7 @@ def _minimal_code(V, ext, loops, mult, classes):
         return code, sum([count for c, count in results.values() if c == code])
 
     count = rec({})[1]
-    return [(ext[v], loops[v], row) for v, row in zip(first, best)], count
+    return tuple([(ext[v], loops[v], row) for v, row in zip(first, best)]), count
 
 
 def _root(parent: dict[int, int], x: int) -> int:
@@ -481,18 +491,24 @@ def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes
     V, ext, loops, mult = _multigraph(g)
     classes = _refine_classes(V, ext, loops, mult)
     code, aut_mg = _minimal_code(V, ext, loops, mult, classes)
-    canon = _rebuild_canonical(code, g.n_empty)
+    key, canon, aut_edges, parts = _code_tail(code, g.n_empty)
+    return key, canon, aut_mg * aut_edges, parts
+
+
+@lru_cache(maxsize=None)
+def _code_tail(code, n_empty: int) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
+    """What a code fixes, built once per code: the canonical graph, its key,
+    the factor of |Aut| that permutes loops and parallel edges, and the
+    monomial key."""
+    canon = _rebuild_canonical(code, n_empty)
     key = json.dumps(to_json_dict(canon), separators=(",", ":")).encode("ascii")
-    aut = aut_mg
-    for i in range(V):
-        aut *= 2 ** loops[i] * factorial(loops[i])
-        for j in range(i + 1, V):
-            aut *= factorial(mult[i][j])
-    if len(_vertex_groups(V, mult)) + g.n_empty == 1:
+    aut_edges = prod([2**n * factorial(n) * prod(map(factorial, row)) for _, n, row in code])
+    V, _, _, mult = _multigraph(canon)
+    if len(_vertex_groups(V, mult)) + n_empty == 1:
         parts = (key,)
     else:
         parts = tuple(map(canonical_key, connected_components(canon)))
-    return key, canon, aut, parts
+    return key, canon, aut_edges, parts
 
 
 def canonical_form(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph]:

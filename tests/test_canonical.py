@@ -10,14 +10,18 @@ import random
 
 import pytest
 
+from ckhopf import graphs
 from ckhopf.corpus import connected_corpus
 from ckhopf.graphs import (
     _multigraph,
     _refine_classes,
     automorphism_count,
+    canonical_form,
     canonical_key,
+    dot_graph,
     enumerate_graphs,
     graph,
+    monomial_key,
     relabel,
 )
 from ckhopf.insertion import insertion_product
@@ -132,17 +136,35 @@ def test_automorphism_counts_match_networkx():
         assert count == automorphism_count(_simple_graph(n_vertices, edges)) == aut, name
 
 
-def test_discrete_refinement_agrees_with_the_oracle():
-    # insertion results mix graphs whose refinement is discrete, where the
-    # ordering is forced and |Aut| of the multigraph is 1, with graphs searched
+def _small_insertion_results():
+    """The insertion results of two connected_corpus(3) graphs that the
+    oracle can check, by canonical key."""
     plus = [GraphPoly.from_graph(g) for g in connected_corpus(3)]
-    results = {
+    return {
         canonical_key(g): g
         for p1 in plus
         for p2 in plus
         for g, _ in insertion_product(p1, p2).graphs()
         if len(g.edges) <= 6  # the oracle's 12 half-edges
     }
+
+
+def _largest_twin_class(g):
+    """The size of the largest refinement class of g when every class is a
+    set of twins, where the canonical form skips its search; else 0."""
+    V, ext, loops, mult = _multigraph(g)
+    classes = _refine_classes(V, ext, loops, mult)
+    for cell in classes:
+        for w in cell[1:]:
+            if any(mult[cell[0]][x] != mult[w][x] for x in range(V) if x not in (cell[0], w)):
+                return 0
+    return max(map(len, classes), default=0)
+
+
+def test_discrete_refinement_agrees_with_the_oracle():
+    # insertion results mix graphs whose refinement is discrete, where the
+    # ordering is forced and |Aut| of the multigraph is 1, with graphs searched
+    results = _small_insertion_results()
     rng = random.Random(14)
     discrete = 0
     for key, g in results.items():
@@ -152,3 +174,51 @@ def test_discrete_refinement_agrees_with_the_oracle():
         assert automorphism_count(copies[0]) == oracle_aut(g), key
         assert {canonical_key(h) for h in copies} == {key}
     assert 0 < discrete < len(results)
+
+
+def test_twin_class_shortcut_agrees_with_the_oracle():
+    # refinement leaves twin classes of two or more vertices in these, so the
+    # code is read off the class order and |Aut| of the multigraph is the
+    # product of the class sizes' factorials; the cycles need the search
+    twins = [dot_graph(k) for k in range(2, 7)] + [
+        _simple_graph(3, _cycle_edges(3)),  # K3
+        _simple_graph(2, [(0, 1)] * 2, legs=[0, 0, 0]),
+        _simple_graph(3, [(0, 1), (0, 2)], legs=[0, 0, 0]),
+        _simple_graph(2, [(0, 1), (1, 1)], legs=[0, 0, 0, 0]),
+        _simple_graph(1, [(0, 0)], legs=[0, 0, 0, 0]),
+    ]
+    searched = [_simple_graph(n, _cycle_edges(n)) for n in (4, 5, 6)]
+    inserted = list(_small_insertion_results().values())
+    assert all(_largest_twin_class(g) >= 2 for g in twins)
+    assert all(_largest_twin_class(g) == 0 for g in searched)
+    assert {_largest_twin_class(g) >= 2 for g in inserted} == {True, False}
+    rng = random.Random(15)
+    for g in twins + searched + inserted:
+        copies = [_relabelled(g, rng) for _ in range(3)]
+        assert automorphism_count(copies[0]) == oracle_aut(g), g
+        assert {canonical_key(h) for h in copies} == {canonical_key(g)}, g
+    petersen = _simple_graph(10, _petersen_edges())
+    assert _largest_twin_class(petersen) == 0 and automorphism_count(petersen) == 120
+
+
+def test_results_do_not_depend_on_which_labelling_ran_first():
+    # the memos are shared by every labelling of a class, so whichever
+    # labelling fills them first must leave the same answers for the others
+    rng = random.Random(4)
+    pool = [g for n in range(5) for g in enumerate_graphs(n, "all")]
+    copies = [_relabelled(g, rng) for g in pool]
+
+    def canonicalize_in_turn(first, second):
+        graphs._canonical.cache_clear()
+        graphs._code_tail.cache_clear()
+        out = []
+        for a, b in zip(first, second):
+            for g in (a, b):
+                out.append((*canonical_form(g), automorphism_count(g), monomial_key(g)))
+        return out
+
+    copy_first = canonicalize_in_turn(copies, pool)
+    class_first = canonicalize_in_turn(pool, copies)
+    assert copy_first[0::2] == class_first[1::2]
+    assert copy_first[1::2] == class_first[0::2]
+    assert copy_first[0::2] == copy_first[1::2]

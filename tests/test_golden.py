@@ -23,10 +23,14 @@ from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import CKHopfError
 from ckhopf.graphs import (
     GradeTriple,
+    automorphism_count,
+    canonical_key,
     connected_by_grade,
     disjoint_union,
     enumerate_by_grade,
     enumerate_graphs,
+    monomial_key,
+    relabel,
     to_json_dict,
 )
 from ckhopf.poly import GraphPoly
@@ -112,6 +116,12 @@ TENSOR_TABLE_SHA256 = "b70410b474cc6ed6042021789ca5ca7ef48cae34c168a086903f51db5
 # n <= 5) and connected_by_grade (m + k <= 6): a change of class, labelling or
 # order in the enumeration fails it.
 ENUMERATION_SHA256 = "24ce0adacc1a674784d24ae4d493fed299e3913742bee47eb7d22b7723e85be6"
+
+# sha256 of (canonical key, |Aut|, monomial key), one line per graph, over a
+# seeded relabelling of every class with at most 5 edges and of every
+# insertion result of two connected_corpus(3) graphs: unlike PINNED_SHA256 in
+# test_canonical.py, it covers the monomial keys, the parts of H's basis.
+CANONICAL_TRIPLE_SHA256 = "e5fbde9e2a5cdb3534316668405e0a3ba2ce2db11d43e31145527772f45ad9c6"
 
 
 def json_output(capsys, argv):
@@ -304,3 +314,20 @@ def test_enumeration_digest():
     lines = [f"{label} {dumps(to_json_dict(g))}" for label, graphs in lists for g in graphs]
     digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
     assert digest == ENUMERATION_SHA256
+
+
+def test_canonical_triple_digest():
+    rng = random.Random(15)
+    plus = [GraphPoly.from_graph(g) for g in connected_corpus(3)]
+    pool = [g for n in range(6) for g in enumerate_graphs(n, "all")] + [
+        g for p1 in plus for p2 in plus for g, _ in insertion.insertion_product(p1, p2).graphs()
+    ]
+    lines = []
+    for g in pool:
+        perm = list(range(g.n_half_edges))
+        rng.shuffle(perm)
+        h = relabel(g, dict(enumerate(perm)))
+        parts = " ".join(k.decode("ascii") for k in monomial_key(h))
+        lines.append(f"{canonical_key(h).decode('ascii')} {automorphism_count(h)} {parts}")
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == CANONICAL_TRIPLE_SHA256
