@@ -101,9 +101,19 @@ class RawTensor(SparseVector):
         return self._terms.get(tuple(word), Fraction(0))
 
 
-# Most index words ``beta`` writes out: above the 7**7 of the largest beta a
-# verify suite at its largest window asks for (phi-equivariance-insertion).
+# Most index assignments ``beta`` or ``tensors.phi`` enumerates: above the
+# 7**7 of the largest one a verify suite at its largest window asks for
+# (phi-equivariance-insertion).
 _MAX_WORDS = 2**22
+
+
+def _check_assignments(n: int, N: int) -> None:
+    """Raise ResourceBound when the n**N index assignments of N chords over
+    dimension n are more than _MAX_WORDS."""
+    if n**N > _MAX_WORDS:
+        raise ResourceBound(
+            f"{N} chords over dimension {n} need {n}**{N} index words, above the bound {_MAX_WORDS}"
+        )
 
 
 def beta(c: ChordDiagram, n: int) -> RawTensor:
@@ -113,22 +123,25 @@ def beta(c: ChordDiagram, n: int) -> RawTensor:
     An assignment can be read back from its word, so every coefficient is 1.
     """
     N = c.size
-    if n**N > _MAX_WORDS:
-        raise ResourceBound(f"beta needs {n}**{N} index words, above the bound {_MAX_WORDS}")
+    _check_assignments(n, N)
     chord_of = c.chord_of()
     assigns = iproduct(range(1, n + 1), repeat=N)
     words = (tuple(a[chord_of[pos]] for pos in range(1, 2 * N + 1)) for a in assigns)
     return RawTensor(n, 2 * N, dict.fromkeys(words, Fraction(1)))
 
 
+def z_word(c: ChordDiagram) -> tuple[int, ...]:
+    """The word with index r at both ends of the r-th chord."""
+    chord_of = c.chord_of()
+    return tuple(chord_of[pos] + 1 for pos in range(1, 2 * c.size + 1))
+
+
 def z_coinv(c: ChordDiagram, n: int) -> RawTensor:
-    """The coinvariant: the single word with index r at both ends of the r-th chord."""
+    """The coinvariant: the single word ``z_word(c)``, with coefficient 1."""
     N = c.size
     if n < N:
         raise DimensionTooSmall(f"z_c needs dimension >= {N}, got {n}")
-    chord_of = c.chord_of()
-    word = tuple(chord_of[pos] + 1 for pos in range(1, 2 * N + 1))
-    return RawTensor(n, 2 * N, {word: Fraction(1)})
+    return RawTensor(n, 2 * N, {z_word(c): Fraction(1)})
 
 
 def pair_raw(f: RawTensor, g: RawTensor) -> Fraction:

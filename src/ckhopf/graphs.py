@@ -294,22 +294,29 @@ def _vertex_groups(V: int, mult) -> list[list[int]]:
 
 
 def _refine_classes(V, ext, loops, mult):
-    """Iterated equitable refinement; returns classes ordered by color value."""
-    deg = [sum(mult[i]) + 2 * loops[i] for i in range(V)]
-    colors: list = [(ext[i], deg[i], loops[i]) for i in range(V)]
+    """Iterated equitable refinement; returns classes ordered by color value.
+
+    A vertex's signature is its color and the sorted (color, multiplicity)
+    pairs of its neighbours.  After each round the colors become the ranks of
+    the signatures, which order them as the nested signatures would, so the
+    classes come out in the same order as when colors are the signatures."""
+    nbrs = [[(j, m) for j, m in enumerate(row) if m] for row in mult]
+    sigs: list = [(ext[i], sum(mult[i]) + 2 * loops[i], loops[i]) for i in range(V)]
+    colors: list[int] = []
+    n_colors = 0
     while True:
-        sigs = [
-            (colors[i], tuple(sorted((colors[j], mult[i][j]) for j in range(V) if mult[i][j])))
-            for i in range(V)
-        ]
-        if len(set(sigs)) == len(set(colors)):
+        order = sorted(set(sigs))
+        if len(order) == n_colors:
             break
-        colors = sigs
-    order = sorted(set(colors))
-    rank = {c: r for r, c in enumerate(order)}
-    classes: list[list[int]] = [[] for _ in order]
-    for i in range(V):
-        classes[rank[colors[i]]].append(i)
+        n_colors = len(order)
+        rank = {s: r for r, s in enumerate(order)}
+        colors = [rank[s] for s in sigs]
+        if n_colors == V:
+            break  # a discrete partition cannot split further
+        sigs = [(colors[i], tuple(sorted([(colors[j], m) for j, m in nbrs[i]]))) for i in range(V)]
+    classes: list[list[int]] = [[] for _ in range(n_colors)]
+    for i, c in enumerate(colors):
+        classes[c].append(i)
     return classes
 
 

@@ -3,11 +3,24 @@
 An invariant tensor over dimension n is a rational combination of terms, each
 a multiset of internal block monomials (degree >= 1) together with an external
 monomial, all over the orthonormal basis x_1..x_n.  Everything here is built
-from the chord invariants beta_c, which keeps O(n)-invariance automatic.  Each
-operation hands its (term, coefficient) pairs to ``InvariantTensor`` to sum.
+from the chord invariants beta_c, which keeps O(n)-invariance automatic.
 
-The graph-to-tensor map ``phi`` block-symmetrizes beta_c along a block
-presentation of the graph; ``psi`` inverts it by evaluating an invariant lift
+Every stored term is in normal form: each block is sorted, the block list is
+sorted and the external monomial is sorted.  The public constructor
+``InvariantTensor(dim, terms)`` puts any input into that form and checks its
+indices; it serves inputs from outside, such as ``serialize`` and
+``apply_signed_permutation``.  Operations whose terms are normal by
+construction build through ``InvariantTensor._from_normal``, which only sums
+terms and drops zeros: ``phi``, ``scale`` and ``linear_combination`` (so ``+``
+and ``-``), ``project_to``, both counits of a ``PairTensor``, and
+``tensor_mul`` and ``tensor_prelie``, which sort only the merged block list
+(and, for ``tensor_mul``, the merged external monomial), since each block
+stays sorted.
+
+The graph-to-tensor map ``phi`` is the block-symmetrized chord invariant
+beta_c of a block presentation of the graph.  It counts the index assignments
+of the chords by the normal-form term each one gives, so it never writes
+beta_c's words.  ``psi`` inverts it by evaluating an invariant lift
 against the coinvariants z_c.  The lift of a term averages its words over the
 group that reorders each block, the blocks of equal size and the external
 monomial, so its value on one word is the coefficient of the word's term over
@@ -20,20 +33,22 @@ same blocks give isomorphic graphs and terms of equal orbit size.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain, pairwise, product as iproduct
 from math import factorial, prod
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .chords import (
     BlockShape,
     RawTensor,
-    beta,
+    _check_assignments,
     chord_from_graph,
     enumerate_chords,
     graph_from_chord,
-    z_coinv,
+    z_word,
 )
 from .errors import (
     DimensionMismatch,
@@ -76,8 +91,22 @@ class InvariantTensor(SparseVector):
                 raise InvalidInput(f"{(blocks, ext)!r} has an empty block or an index outside 1..{dim}")
         super().__init__(terms)
 
+    @classmethod
+    def _from_normal(
+        cls, dim: int, terms: dict[Term, Scalar] | Iterable[tuple[Term, Scalar]]
+    ) -> "InvariantTensor":
+        """A tensor from terms already in normal form: sums equal terms and
+        drops zeros, but neither sorts nor checks indices."""
+        t = cls.__new__(cls)
+        t.dim = dim
+        SparseVector.__init__(t, terms)
+        return t
+
     def _meta(self) -> tuple:
         return (self.dim,)
+
+    def _new(self, terms: dict) -> "InvariantTensor":
+        return self._from_normal(self.dim, terms)
 
     @classmethod
     def unit(cls, dim: int) -> "InvariantTensor":
@@ -120,11 +149,34 @@ def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
 @lru_cache(maxsize=None)
 def _phi_cached(g: HalfEdgeGraph, n: int) -> InvariantTensor:
     shape, c = chord_from_graph(g)
-    return block_symmetrize(beta(c, n), shape)
+    _check_assignments(n, c.size)
+    chord_of = c.chord_of()
+    # the word of an assignment a: a[r] at both ends of the r-th chord
+    positions = [chord_of[p] for p in range(1, shape.total + 1)]
+    word_of = itemgetter(*positions) if positions else lambda a: ()
+    cuts = list(accumulate(shape.internal, initial=0))
+    blocks = [slice(a, b) for a, b in pairwise(cuts)]
+    external = slice(cuts[-1], None)
+
+    def term(a: tuple[int, ...]) -> Term:
+        word = word_of(a)
+        return tuple(sorted([tuple(sorted(word[b])) for b in blocks])), tuple(sorted(word[external]))
+
+    counts = Counter(map(term, iproduct(range(1, n + 1), repeat=c.size)))
+    # one Fraction per count value: most terms share a few small counts
+    fractions = {k: Fraction(k) for k in set(counts.values())}
+    return InvariantTensor._from_normal(n, {t: fractions[k] for t, k in counts.items()})
 
 
 def phi(g: HalfEdgeGraph, n: int) -> InvariantTensor:
-    """The graph-to-tensor map: block-symmetrized chord invariant."""
+    """The graph-to-tensor map: block-symmetrized chord invariant.
+
+    Equal to ``block_symmetrize(beta(c, n), shape)`` for the presentation
+    ``chord_from_graph(g)``, but each of the n**N index assignments goes
+    straight to its normal-form term, and the coefficient of a term is the
+    number of assignments that reach it.  More than 2**22 assignments raise
+    ResourceBound before any is enumerated.
+    """
     return _phi_cached(g, n)
 
 
@@ -137,15 +189,18 @@ def tensor_mul(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
     if t1.dim != t2.dim:
         raise DimensionMismatch("tensor product needs equal dimensions")
     terms = (
-        ((b1 + b2, e1 + e2), c1 * c2)
+        ((tuple(sorted(b1 + b2)), tuple(sorted(e1 + e2))), c1 * c2)
         for (b1, e1), c1 in t1._terms.items()
         for (b2, e2), c2 in t2._terms.items()
     )
-    return InvariantTensor(t1.dim, terms)
+    return InvariantTensor._from_normal(t1.dim, terms)
 
 
 class PairTensor(SparseVector):
-    """Element of (tensors over m) (x) (tensors over n), for the coproduct."""
+    """Element of (tensors over m) (x) (tensors over n), for the coproduct.
+
+    A key is a pair of normal-form terms, as ``tensor_delta`` and ``outer``
+    of two ``InvariantTensor``s write them; the counits keep that form."""
 
     __slots__ = ("dim_left", "dim_right")
 
@@ -160,11 +215,11 @@ class PairTensor(SparseVector):
     def left_counit(self) -> InvariantTensor:
         """Collapse the left leg: keep terms whose left factor is the unit."""
         kept = ((tr, v) for (tl, tr), v in self._terms.items() if tl == ((), ()))
-        return InvariantTensor(self.dim_right, kept)
+        return InvariantTensor._from_normal(self.dim_right, kept)
 
     def right_counit(self) -> InvariantTensor:
         kept = ((tl, v) for (tl, tr), v in self._terms.items() if tr == ((), ()))
-        return InvariantTensor(self.dim_left, kept)
+        return InvariantTensor._from_normal(self.dim_left, kept)
 
 
 def tensor_delta(t: InvariantTensor, m: int, n: int) -> PairTensor:
@@ -204,13 +259,13 @@ def tensor_prelie(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
             if N <= k:
                 raise NotInLPlus(f"component of bigrade ({N},{k}) is not in l_plus")
     terms = (
-        ((b1[:i] + b1[i + 1 :] + b2, e1), c1 * c2 * sym(e2))
+        ((tuple(sorted(b1[:i] + b1[i + 1 :] + b2)), e1), c1 * c2 * sym(e2))
         for (b1, e1), c1 in t1._terms.items()
         for (b2, e2), c2 in t2._terms.items()
         for i, block in enumerate(b1)
         if block == e2
     )
-    return InvariantTensor(t1.dim, terms)
+    return InvariantTensor._from_normal(t1.dim, terms)
 
 
 def project(t: InvariantTensor) -> InvariantTensor:
@@ -226,7 +281,7 @@ def project_to(t: InvariantTensor, n: int) -> InvariantTensor:
         raise InvalidInput(f"cannot project to the negative dimension {n}")
     if n >= t.dim:
         return t
-    return InvariantTensor(
+    return InvariantTensor._from_normal(
         n,
         {
             (blocks, ext): c
@@ -295,6 +350,7 @@ def psi(t: InvariantTensor) -> GraphPoly:
     if N > n:
         return GraphPoly.zero()
 
+    words = [(c, z_word(c)) for c in enumerate_chords(N)]
     summands = []
     for sizes in sorted({tuple(sorted(map(len, blocks))) for blocks, _ in t._terms}):
         shape = BlockShape(sizes, k)
@@ -303,8 +359,7 @@ def psi(t: InvariantTensor) -> GraphPoly:
         block_of = [b for b, size in enumerate((*sizes, k)) for _ in range(size)]
         firsts: dict[tuple, tuple] = {}
         sums: dict[tuple, Fraction] = {}
-        for c in enumerate_chords(N):
-            ((word, _),) = z_coinv(c, n).terms()
+        for c, word in words:
             term = _norm_term(*_cut(word, cuts))
             coeff = t._terms.get(term)
             if coeff:

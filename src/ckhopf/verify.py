@@ -16,6 +16,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable
 
 from . import hopf, insertion
@@ -380,25 +381,24 @@ def _double_factorial(n: int) -> int:
     return out
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
+def _rank(rows: list[list[int]]) -> int:
+    """The rank of an integer matrix by fraction-free elimination (Bareiss,
+    Math. Comp. 1968): after each pivot, every entry below it is a minor of
+    the input, so the division by the previous pivot is exact."""
     rows = [list(r) for r in rows]
-    rank = 0
+    rank, previous = 0, 1
     cols = len(rows[0]) if rows else 0
     for col in range(cols):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col] != 0:
-                pivot = i
-                break
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        top = rows[rank]
+        p = top[col]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // previous for a, b in zip(rows[i], top)]
+        previous = p
         rank += 1
     return rank
 
@@ -433,9 +433,11 @@ def _check_beta_rank(case):
     index = {w: i for i, w in enumerate(words)}
     rows = []
     for t in tensors:
-        row = [Fraction(0)] * len(words)
+        # an integer multiple of the row, which has the same rank
+        scale = lcm(*(v.denominator for _, v in t.terms()))
+        row = [0] * len(words)
         for w, v in t.terms():
-            row[index[w]] = v
+            row[index[w]] = v.numerator * (scale // v.denominator)
         rows.append(row)
     if _rank(rows) != want:
         return {"N": N, "n": n, "rank": _rank(rows), "want": want}

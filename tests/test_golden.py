@@ -12,6 +12,7 @@ A change that alters any of them changes a published result and must say so.
 import hashlib
 import random
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,7 @@ from ckhopf.verify import run_suite
 from ckhopf.tensors import (
     InvariantTensor,
     apply_signed_permutation,
+    phi,
     project_to,
     tensor_delta,
     tensor_mul,
@@ -110,6 +112,12 @@ DELTA_TABLE_SHA256 = "0913bc423a4e02109ee57ca5ded5eca4e1d2830d55c2dbf1b61841b197
 # line per result, over seeded random tensors and over pairs drawn from those
 # random tensors that lie in l_plus, where the pre-Lie product is defined.
 TENSOR_TABLE_SHA256 = "b70410b474cc6ed6042021789ca5ca7ef48cae34c168a086903f51db5eda91d2"
+
+# sha256 of phi(h, n).terms(), one line per (h, n), over a seeded relabelling
+# h of every class with at most 4 edges and no empty vertex (``_phi_cases``)
+# at n = 1..5, captured while phi still block-symmetrized beta's words: the
+# repr also pins every coefficient as a Fraction.
+PHI_TABLE_SHA256 = "ef84ccc19f5db385449e21bc5337baf8db8a34f6c625d615627781e86234e358"
 
 # sha256 of the JSON document of every graph, in the order listed, from
 # enumerate_graphs (n <= 5, each filter), enumerate_by_grade (each grade with
@@ -293,6 +301,27 @@ def test_star_table_digest():
     ]
     digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
     assert digest == STAR_TABLE_SHA256
+
+
+@lru_cache(maxsize=None)
+def _phi_cases() -> tuple[tuple, ...]:
+    """(class, seeded relabelling) pairs over every class with at most 4 edges
+    and no empty vertex."""
+    rng = random.Random(16)
+    cases = []
+    for edges in range(5):
+        for g in enumerate_graphs(edges, "all"):
+            if not g.n_empty:
+                perm = list(range(g.n_half_edges))
+                rng.shuffle(perm)
+                cases.append((g, relabel(g, dict(enumerate(perm)))))
+    return tuple(cases)
+
+
+def test_phi_table_digest():
+    lines = [f"{n} {list(phi(h, n).terms())!r}" for _, h in _phi_cases() for n in range(1, 6)]
+    digest = hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+    assert digest == PHI_TABLE_SHA256
 
 
 def test_cached_coproduct_not_mutated(bubble):

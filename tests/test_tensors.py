@@ -5,9 +5,25 @@ from itertools import accumulate
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckhopf.chords import BlockShape, ChordDiagram, beta, enumerate_chords, graph_from_chord, z_coinv
+from ckhopf import chords, tensors as tensors_module
+from ckhopf.chords import (
+    BlockShape,
+    ChordDiagram,
+    beta,
+    chord_from_graph,
+    enumerate_chords,
+    graph_from_chord,
+    z_coinv,
+)
+from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus, default_corpus, named_graph
-from ckhopf.errors import DimensionMismatch, InhomogeneousInput, InvalidInput, NotInLPlus
+from ckhopf.errors import (
+    DimensionMismatch,
+    InhomogeneousInput,
+    InvalidInput,
+    NotInLPlus,
+    ResourceBound,
+)
 from ckhopf.graphs import (
     disjoint_union,
     enumerate_by_grade,
@@ -23,6 +39,7 @@ from ckhopf.tensors import (
     _cut,
     _norm_term,
     _orbit_size,
+    _phi_cached,
     apply_signed_permutation,
     block_symmetrize,
     phi,
@@ -35,7 +52,7 @@ from ckhopf.tensors import (
     tensor_prelie,
 )
 from test_canonical import _relabelled
-from test_golden import _random_tensor
+from test_golden import _in_l_plus, _phi_cases, _random_tensor
 
 
 def P(g):
@@ -566,3 +583,84 @@ def test_constructor_checks_indices_against_dim():
         InvariantTensor(0, {((), (1,)): 1})
     with pytest.raises(InvalidInput):
         InvariantTensor(-1, {((), (1,)): 1})
+
+
+# ---------------------------------------------------------------------------
+# phi counts index assignments: checked against beta's words
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_phi_counts_equal_block_symmetrized_beta(n):
+    for g, h in _phi_cases():
+        shape, c = chord_from_graph(h)
+        t = phi(h, n)
+        assert t == block_symmetrize(beta(c, n), shape) == phi(g, n)
+        coeffs = [v for _, v in t.terms()]
+        assert sum(coeffs) == n ** len(h.edges)
+        assert all(type(v) is Fraction for v in coeffs)
+
+
+def test_phi_and_beta_share_the_assignment_bound(monkeypatch):
+    # theta has 3 chords: 2**3 assignments are within a bound of 8, 3**3 are not
+    theta = named_graph("theta")
+    shape, c = chord_from_graph(theta)
+    monkeypatch.setattr(chords, "_MAX_WORDS", 8)
+    # the memo is bypassed, so a tensor cached earlier cannot hide the bound
+    assert _phi_cached.__wrapped__(theta, 2) == block_symmetrize(beta(c, 2), shape)
+    with pytest.raises(ResourceBound):
+        beta(c, 3)
+    with pytest.raises(ResourceBound):
+        _phi_cached.__wrapped__(theta, 3)
+
+
+def test_phi_raises_resource_bound_before_enumerating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("phi enumerated assignments above the bound")
+
+    monkeypatch.setattr(tensors_module, "iproduct", refuse)
+    with pytest.raises(ResourceBound):
+        phi(named_graph("theta"), 100000)
+    assert main(["phi", "theta", "--dim", "100000"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# operations that build through the private constructor stay in normal form
+
+
+def _public_copy(t: InvariantTensor) -> InvariantTensor:
+    return InvariantTensor(t.dim, dict(t._terms))
+
+
+def _assert_normal(t: InvariantTensor) -> None:
+    assert type(t) is InvariantTensor
+    assert t == _public_copy(t)
+    assert all(type(v) is Fraction for v in t._terms.values())
+
+
+def test_private_path_results_equal_their_public_copies():
+    rng = random.Random(16)
+    for dim in range(5):
+        for _ in range(40):
+            t1, t2 = _random_tensor(rng, dim), _random_tensor(rng, dim)
+            _assert_normal(t1.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3))))
+            _assert_normal(t1.scale(rng.randint(-3, 3)))
+            _assert_normal(linear_combination([(t1, 2), (t2, Fraction(-1, 3)), (t1, -2)], t1))
+            _assert_normal(t1 + t2)
+            _assert_normal(t1 - t2)
+            _assert_normal(t1 - t1)
+            _assert_normal(-t1)
+            _assert_normal(tensor_mul(t1, t2))
+            for n in range(dim + 1):
+                _assert_normal(project_to(t1, n))
+            for m in range(dim + 1):
+                d = tensor_delta(tensor_mul(t1, t2), m, dim - m)
+                _assert_normal(d.left_counit())
+                _assert_normal(d.right_counit())
+    for dim in range(1, 4):
+        pool = [t for t in (_random_tensor(rng, dim) for _ in range(300)) if _in_l_plus(t)][:12]
+        for t1 in pool:
+            for t2 in pool:
+                _assert_normal(tensor_prelie(t1, t2))
+    for g in connected_corpus(3):
+        for n in range(1, 4):
+            _assert_normal(phi(g, n))

@@ -1,4 +1,6 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -151,3 +153,51 @@ def test_exhaustive_right_symmetry_reaches_the_diagonal(monkeypatch):
     check = run_suite("prelie").checks[0]
     assert check.name == "associator-right-symmetry-exhaustive"
     assert check.details == "error: ValueError: fault on the diagonal"
+
+
+def _fraction_rank(rows) -> int:
+    """Gauss-Jordan elimination over Fraction, as an oracle for verify._rank."""
+    rows = [[Fraction(x) for x in r] for r in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        rows[rank] = [x / rows[rank][col] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _random_matrix(rng: random.Random) -> list[list[int]]:
+    """A product of random r x k and k x c matrices, so often rank deficient,
+    with a zero row and a zero column inserted now and then."""
+    r, k, c = rng.randint(0, 7), rng.randint(0, 7), rng.randint(0, 7)
+    a = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(r)]
+    b = [[rng.randint(-3, 3) for _ in range(c)] for _ in range(k)]
+    rows = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] if b else [0] * c for row in a]
+    if rows and rng.random() < 0.3:
+        rows.insert(rng.randint(0, len(rows)), [0] * c)
+    if rng.random() < 0.3:
+        j = rng.randint(0, c)
+        rows = [row[:j] + [0] + row[j:] for row in rows]
+    return rows
+
+
+def test_rank_matches_fraction_elimination():
+    rng = random.Random(1968)
+    deficient = 0
+    for _ in range(400):
+        rows = _random_matrix(rng)
+        before = [list(r) for r in rows]
+        rank = verify._rank(rows)
+        assert rank == _fraction_rank(rows)
+        assert rows == before
+        deficient += rank < min(len(rows), len(rows[0]) if rows else 0)
+    assert deficient > 50
+    assert verify._rank([]) == verify._rank([[]]) == verify._rank([[0, 0], [0, 0]]) == 0
+    assert verify._rank([[0, 2], [0, 4], [1, 0]]) == 2
