@@ -1,5 +1,7 @@
 """Command-line front end exposing every library operation.
 
+Every command except ``enumerate`` computes one value and writes it through
+the writer for its type, as JSON with ``--format json`` and as text otherwise.
 Usage errors exit 2 (argparse), verification failures exit 1, success 0.
 GRAPH arguments accept a corpus name or a path to a graph JSON file; corpus
 names resolve first and a warning is printed if a file of the same name also
@@ -20,6 +22,7 @@ from .corpus import NAMED_BUILDERS, name_by_key, named_graph
 from .errors import CKHopfError, InvalidInput
 from .graphs import (
     HalfEdgeGraph,
+    _is_index,
     automorphism_count,
     canonical_key,
     contract_subgraph,
@@ -38,8 +41,8 @@ from .serialize import (
     poly_to_doc,
     tensor_poly_to_doc,
 )
-from .tensors import InvariantTensor, phi, psi, tensor_delta
-from .verify import run_suite, suite_names
+from .tensors import InvariantTensor, PairTensor, phi, psi, tensor_delta
+from .verify import VerificationReport, run_suite, suite_names
 
 
 def _read_json(path: str):
@@ -64,6 +67,10 @@ def _load_tensor(spec: str) -> InvariantTensor:
     return invariant_from_doc(_read_json(spec))
 
 
+def _load_poly(spec: str) -> GraphPoly:
+    return GraphPoly.from_graph(_load_graph(spec))
+
+
 def _graph_label(key: bytes) -> str:
     name = name_by_key().get(key)
     if name:
@@ -77,16 +84,9 @@ def _graph_label(key: bytes) -> str:
     return f"<n={gr.n},m={gr.m},k={gr.k};id={digest}>"
 
 
-def _poly_text(p: GraphPoly) -> str:
-    bits = [("" if c == 1 else f"{c} * ") + _graph_label(k) for k, c in p.written_terms()]
-    return " + ".join(bits) or "0"
-
-
-def _tensor_poly_text(t: GraphTensorPoly) -> str:
-    bits = [
-        ("" if c == 1 else f"{c} * ") + " (x) ".join(map(_graph_label, keys))
-        for keys, c in t.written_terms()
-    ]
+def _sum_text(terms, label) -> str:
+    """Written terms joined by " + ", with a coefficient of 1 left out."""
+    bits = [("" if c == 1 else f"{c} * ") + label(keys) for keys, c in terms]
     return " + ".join(bits) or "0"
 
 
@@ -101,14 +101,49 @@ def _invariant_text(t: InvariantTensor) -> str:
     return "\n".join(bits)
 
 
+def _legs(d: PairTensor) -> list[tuple[str, InvariantTensor, InvariantTensor]]:
+    """Each term of ``d`` as (coefficient, left leg, right leg)."""
+    one = Fraction(1)
+    return [
+        (frac_to_str(c), InvariantTensor(d.dim_left, {tl: one}), InvariantTensor(d.dim_right, {tr: one}))
+        for (tl, tr), c in d.terms()
+    ]
+
+
+def _pair_doc(d: PairTensor) -> list:
+    return [
+        {"coefficient": c, "left": invariant_to_doc(left), "right": invariant_to_doc(right)}
+        for c, left, right in _legs(d)
+    ]
+
+
+def _pair_text(d: PairTensor) -> str:
+    lines = [f"{c} * ({_invariant_text(left)}) (x) ({_invariant_text(right)})" for c, left, right in _legs(d)]
+    return "\n".join(lines) or "0"
+
+
+# the (JSON document, text) writers of each type of value a command computes
+_WRITERS = {
+    GraphPoly: (poly_to_doc, lambda p: _sum_text(p.written_terms(), _graph_label)),
+    GraphTensorPoly: (
+        tensor_poly_to_doc,
+        lambda t: _sum_text(t.written_terms(), lambda keys: " (x) ".join(map(_graph_label, keys))),
+    ),
+    InvariantTensor: (invariant_to_doc, _invariant_text),
+    PairTensor: (_pair_doc, _pair_text),
+    HalfEdgeGraph: (graph_to_doc, lambda g: canonical_key(g).decode("ascii")),
+    int: (lambda n: {"automorphisms": n}, str),
+    VerificationReport: (VerificationReport.to_json_dict, VerificationReport.to_text),
+}
+
+
 def _emit(text: str, out: str | None):
-    """Write to ``out`` or stdout; an output that cannot be written is a CKHopfError."""
+    """Write ``text`` and a newline to ``out`` or stdout; an output that cannot
+    be written is a CKHopfError."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if not text.endswith("\n"):
-                    fh.write("\n")
+                print(text, file=fh)
         except OSError as exc:
             raise CKHopfError(f"cannot write to {out!r}: {exc}") from None
     else:
@@ -133,7 +168,7 @@ def _parse_edges(spec: str) -> list[tuple[int, int]]:
     except (ValueError, TypeError):
         raise malformed from None
     for p in pairs:
-        if len(p) != 2 or not all(isinstance(h, int) and not isinstance(h, bool) for h in p):
+        if len(p) != 2 or not all(map(_is_index, p)):
             raise malformed
     return pairs
 
@@ -224,110 +259,40 @@ def main(argv=None) -> int:
         return 2
 
 
+# the value each command computes; arguments are evaluated in order, so
+# g1 loads before g2 and the graph before ``--edges``
+_COMMANDS = {
+    "aut": lambda a: automorphism_count(_load_graph(a.graph)),
+    "contract": lambda a: contract_subgraph(_load_graph(a.graph), _parse_edges(a.edges)),
+    "coproduct": lambda a: hopf.coproduct(_load_poly(a.graph), a.full_subgraph_term),
+    "antipode": lambda a: hopf.antipode(_load_poly(a.graph)),
+    "insert": lambda a: insertion.insertion_product(_load_poly(a.g1), _load_poly(a.g2)),
+    "star": lambda a: hopf.star_product(_load_poly(a.g1), _load_poly(a.g2)),
+    "phi": lambda a: phi(_load_graph(a.graph), a.dim),
+    "psi": lambda a: psi(_load_tensor(a.tensor)),
+    "delta": lambda a: tensor_delta(_load_tensor(a.tensor), a.m, a.n),
+    "verify": lambda a: run_suite(
+        a.suite, max_edges=a.max_edges, dim=a.dim, seed=a.seed,
+        full_subgraph_term=a.full_subgraph_term, prelie_samples=a.prelie_samples,
+    ),
+}
+
+
 def _dispatch(args) -> int:
-    fmt = getattr(args, "format", "text")
-
     if args.command == "enumerate":
-        filt = "all"
-        if args.connected:
-            filt = "connected"
-        if args.connected_plus:
-            filt = "connected_plus"
+        filt = "connected" if args.connected else "connected_plus" if args.connected_plus else "all"
         graphs = enumerate_graphs(args.edges, filt)
-        if fmt == "json":
-            _emit(dumps([graph_to_doc(g) for g in graphs]), args.out)
+        to_doc, to_text = _WRITERS[HalfEdgeGraph]
+        if args.format == "json":
+            _emit(dumps(list(map(to_doc, graphs))), args.out)
         else:
-            lines = [f"{len(graphs)} classes with {args.edges} edges ({filt})"]
-            lines += [canonical_key(g).decode("ascii") for g in graphs]
-            _emit("\n".join(lines), args.out)
+            header = f"{len(graphs)} classes with {args.edges} edges ({filt})"
+            _emit("\n".join([header, *map(to_text, graphs)]), args.out)
         return 0
-
-    if args.command == "aut":
-        g = _load_graph(args.graph)
-        n = automorphism_count(g)
-        _emit(dumps({"automorphisms": n}) if fmt == "json" else str(n), args.out)
-        return 0
-
-    if args.command == "contract":
-        g = _load_graph(args.graph)
-        result = contract_subgraph(g, _parse_edges(args.edges))
-        if fmt == "json":
-            _emit(dumps(graph_to_doc(result)), args.out)
-        else:
-            _emit(canonical_key(result).decode("ascii"), args.out)
-        return 0
-
-    if args.command == "coproduct":
-        g = _load_graph(args.graph)
-        t = hopf.coproduct(GraphPoly.from_graph(g), args.full_subgraph_term)
-        _emit(dumps(tensor_poly_to_doc(t)) if fmt == "json" else _tensor_poly_text(t), args.out)
-        return 0
-
-    if args.command == "antipode":
-        g = _load_graph(args.graph)
-        p = hopf.antipode(GraphPoly.from_graph(g))
-        _emit(dumps(poly_to_doc(p)) if fmt == "json" else _poly_text(p), args.out)
-        return 0
-
-    if args.command == "insert":
-        g1, g2 = _load_graph(args.g1), _load_graph(args.g2)
-        p = insertion.insertion_product(GraphPoly.from_graph(g1), GraphPoly.from_graph(g2))
-        _emit(dumps(poly_to_doc(p)) if fmt == "json" else _poly_text(p), args.out)
-        return 0
-
-    if args.command == "star":
-        g1, g2 = _load_graph(args.g1), _load_graph(args.g2)
-        p = hopf.star_product(GraphPoly.from_graph(g1), GraphPoly.from_graph(g2))
-        _emit(dumps(poly_to_doc(p)) if fmt == "json" else _poly_text(p), args.out)
-        return 0
-
-    if args.command == "phi":
-        g = _load_graph(args.graph)
-        t = phi(g, args.dim)
-        _emit(dumps(invariant_to_doc(t)) if fmt == "json" else _invariant_text(t), args.out)
-        return 0
-
-    if args.command == "psi":
-        t = _load_tensor(args.tensor)
-        p = psi(t)
-        _emit(dumps(poly_to_doc(p)) if fmt == "json" else _poly_text(p), args.out)
-        return 0
-
-    if args.command == "delta":
-        t = _load_tensor(args.tensor)
-        d = tensor_delta(t, args.m, args.n)
-        if fmt == "json":
-            doc = [
-                {
-                    "coefficient": frac_to_str(c),
-                    "left": invariant_to_doc(InvariantTensor(args.m, {tl: Fraction(1)})),
-                    "right": invariant_to_doc(InvariantTensor(args.n, {tr: Fraction(1)})),
-                }
-                for (tl, tr), c in d.terms()
-            ]
-            _emit(dumps(doc), args.out)
-        else:
-            lines = []
-            for (tl, tr), c in d.terms():
-                left = _invariant_text(InvariantTensor(args.m, {tl: Fraction(1)}))
-                right = _invariant_text(InvariantTensor(args.n, {tr: Fraction(1)}))
-                lines.append(f"{frac_to_str(c)} * ({left}) (x) ({right})")
-            _emit("\n".join(lines) if lines else "0", args.out)
-        return 0
-
-    if args.command == "verify":
-        report = run_suite(
-            args.suite,
-            max_edges=args.max_edges,
-            dim=args.dim,
-            seed=args.seed,
-            full_subgraph_term=args.full_subgraph_term,
-            prelie_samples=args.prelie_samples,
-        )
-        _emit(dumps(report.to_json_dict()) if fmt == "json" else report.to_text(), args.out)
-        return 0 if report.passed else 1
-
-    raise AssertionError(f"unhandled command {args.command}")
+    value = _COMMANDS[args.command](args)
+    to_doc, to_text = _WRITERS[type(value)]
+    _emit(dumps(to_doc(value)) if args.format == "json" else to_text(value), args.out)
+    return 1 if isinstance(value, VerificationReport) and not value.passed else 0
 
 
 if __name__ == "__main__":

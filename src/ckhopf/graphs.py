@@ -466,6 +466,7 @@ def _is_label_list(part: object) -> bool:
 
 
 def _is_index(i: object) -> bool:
+    """An int but not a bool: the integer check of every input boundary."""
     return isinstance(i, int) and not isinstance(i, bool)
 
 

@@ -78,8 +78,15 @@ class SparseVector:
     def _meta(self) -> tuple:
         return ()
 
+    @classmethod
+    def _from_normal(cls, *meta_and_terms):
+        """A vector from metadata and keys already in normal form.  This base
+        constructor does no more; a subclass whose constructor normalizes its
+        keys overrides it to skip that work."""
+        return cls(*meta_and_terms)
+
     def _new(self, terms: dict) -> "SparseVector":
-        return type(self)(*self._meta(), terms)
+        return self._from_normal(*self._meta(), terms)
 
     @classmethod
     def zero(cls, *meta):
@@ -91,7 +98,7 @@ class SparseVector:
         terms = {
             (k1, k2): c1 * c2 for k1, c1 in a._terms.items() for k2, c2 in b._terms.items()
         }
-        return cls(*a._meta(), *b._meta(), terms)
+        return cls._from_normal(*a._meta(), *b._meta(), terms)
 
     def terms(self) -> Iterator[tuple[Hashable, Fraction]]:
         return iter(sorted(self._terms.items()))

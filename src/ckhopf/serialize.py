@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .graphs import from_json_dict, to_json_dict
+from .graphs import _is_index, from_json_dict, to_json_dict
 from .poly import GraphPoly, GraphTensorPoly
 from .tensors import InvariantTensor
 
@@ -29,7 +29,7 @@ def frac_to_str(x: Fraction) -> str:
 
 def frac_from_str(s) -> Fraction:
     """An integer or a "p/q" string; floats, bools and anything else are rejected."""
-    if isinstance(s, int) and not isinstance(s, bool):
+    if _is_index(s):
         return Fraction(s)
     if not isinstance(s, str) or not _RATIONAL.fullmatch(s):
         raise InvalidInput(f"coefficient {s!r} is not an integer or a 'p/q' string")
@@ -72,19 +72,15 @@ def invariant_to_doc(t: InvariantTensor) -> dict:
     return {"dimension": t.dim, "terms": terms}
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _indices(xs) -> tuple[int, ...]:
-    if not isinstance(xs, list) or not all(map(_is_int, xs)):
+    if not isinstance(xs, list) or not all(map(_is_index, xs)):
         raise InvalidInput(f"{xs!r} is not a list of indices")
     return tuple(xs)
 
 
 def invariant_from_doc(doc: dict) -> InvariantTensor:
     dim = doc.get("dimension") if isinstance(doc, dict) else None
-    if not _is_int(dim) or dim < 0 or not isinstance(doc.get("terms"), list):
+    if not _is_index(dim) or dim < 0 or not isinstance(doc.get("terms"), list):
         raise InvalidInput(
             'an invariant tensor is {"dimension": <integer >= 0>, "terms": [...]}'
         )

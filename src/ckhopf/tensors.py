@@ -15,7 +15,9 @@ terms and drops zeros: ``phi``, ``scale`` and ``linear_combination`` (so ``+``
 and ``-``), ``project_to``, both counits of a ``PairTensor``, and
 ``tensor_mul`` and ``tensor_prelie``, which sort only the merged block list
 (and, for ``tensor_mul``, the merged external monomial), since each block
-stays sorted.
+stays sorted.  Both legs of a ``PairTensor`` follow the same rule: its
+constructor normalizes and checks each leg, while ``tensor_delta``, ``outer``,
+``scale`` and ``linear_combination`` build through ``PairTensor._from_normal``.
 
 The graph-to-tensor map ``phi`` is the block-symmetrized chord invariant
 beta_c of a block presentation of the graph.  It counts the index assignments
@@ -69,6 +71,15 @@ def _norm_term(blocks: Iterable[Sequence[int]], external: Sequence[int]) -> Term
     return tuple(sorted(map(tuple, map(sorted, blocks)))), tuple(sorted(external))
 
 
+def _check_term(dim: int, term: Term) -> None:
+    """Raise InvalidInput if the normal-form ``term`` has an empty block or an
+    index outside 1..dim."""
+    blocks, ext = term
+    # each block and the external monomial is sorted
+    if () in blocks or any(b[0] < 1 or b[-1] > dim for b in (*blocks, ext) if b):
+        raise InvalidInput(f"{term!r} has an empty block or an index outside 1..{dim}")
+
+
 class InvariantTensor(SparseVector):
     """Sparse rational combination of block-monomial terms over dimension n.
 
@@ -85,10 +96,8 @@ class InvariantTensor(SparseVector):
         self.dim = dim
         items = terms.items() if isinstance(terms, dict) else terms
         terms = _summed((_norm_term(blocks, ext), c) for (blocks, ext), c in items)
-        for blocks, ext in terms:
-            # each block and the external monomial is sorted
-            if () in blocks or any(b[0] < 1 or b[-1] > dim for b in (*blocks, ext) if b):
-                raise InvalidInput(f"{(blocks, ext)!r} has an empty block or an index outside 1..{dim}")
+        for term in terms:
+            _check_term(dim, term)
         super().__init__(terms)
 
     @classmethod
@@ -104,9 +113,6 @@ class InvariantTensor(SparseVector):
 
     def _meta(self) -> tuple:
         return (self.dim,)
-
-    def _new(self, terms: dict) -> "InvariantTensor":
-        return self._from_normal(self.dim, terms)
 
     @classmethod
     def unit(cls, dim: int) -> "InvariantTensor":
@@ -199,15 +205,32 @@ def tensor_mul(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:
 class PairTensor(SparseVector):
     """Element of (tensors over m) (x) (tensors over n), for the coproduct.
 
-    A key is a pair of normal-form terms, as ``tensor_delta`` and ``outer``
-    of two ``InvariantTensor``s write them; the counits keep that form."""
+    A key is a pair of terms, the left leg over dim_left and the right over
+    dim_right.  The constructor puts each leg in normal form and checks it
+    against its dimension as ``InvariantTensor``'s does.  ``tensor_delta``
+    and ``outer`` of two ``InvariantTensor``s write normal legs, so they build
+    through ``_from_normal``; the counits keep that form."""
 
     __slots__ = ("dim_left", "dim_right")
 
     def __init__(self, dim_left: int, dim_right: int, terms=()):
         self.dim_left = dim_left
         self.dim_right = dim_right
+        items = terms.items() if isinstance(terms, dict) else terms
+        terms = _summed(((_norm_term(*tl), _norm_term(*tr)), c) for (tl, tr), c in items)
+        for tl, tr in terms:
+            _check_term(dim_left, tl)
+            _check_term(dim_right, tr)
         super().__init__(terms)
+
+    @classmethod
+    def _from_normal(cls, dim_left: int, dim_right: int, terms) -> "PairTensor":
+        """A pair tensor from legs already in normal form: sums equal keys and
+        drops zeros, but neither sorts nor checks indices."""
+        t = cls.__new__(cls)
+        t.dim_left, t.dim_right = dim_left, dim_right
+        SparseVector.__init__(t, terms)
+        return t
 
     def _meta(self) -> tuple:
         return (self.dim_left, self.dim_right)
@@ -242,7 +265,7 @@ def tensor_delta(t: InvariantTensor, m: int, n: int) -> PairTensor:
         if len(left) + len(right) == len(blocks):
             cut = bisect_right(ext, m)
             splits.append((((left, ext[:cut]), (right, tuple(x - m for x in ext[cut:]))), c))
-    return PairTensor(m, n, splits)
+    return PairTensor._from_normal(m, n, splits)
 
 
 def tensor_prelie(t1: InvariantTensor, t2: InvariantTensor) -> InvariantTensor:

@@ -1,8 +1,8 @@
 """CLI outputs pinned byte for byte.
 
 Each ``.json`` file under ``golden/`` is the ``--format json`` output of one
-command and each ``.txt`` file its ``--format text`` output, as printed before
-the basis of H was keyed by connected components; the first eight JSON files
+command and each ``.txt`` file its ``--format text`` output, the first two as
+printed before the basis of H was keyed by connected components; the first eight JSON files
 date from before the sparse-vector classes were merged into one type, and
 ``graph_loop_edge_loop.json`` and ``graph_loop1_twoleg.json`` are inputs.  Comparing two runs in one process
 cannot catch a change of bytes from one version to the next; these files can.
@@ -11,6 +11,7 @@ A change that alters any of them changes a published result and must say so.
 
 import hashlib
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -20,7 +21,7 @@ import pytest
 from ckhopf import hopf, insertion, poly, tensors, verify
 from ckhopf.chords import enumerate_chords
 from ckhopf.cli import main
-from ckhopf.corpus import connected_corpus, named_graph
+from ckhopf.corpus import NAMED_BUILDERS, connected_corpus, named_graph
 from ckhopf.errors import CKHopfError
 from ckhopf.graphs import (
     GradeTriple,
@@ -35,7 +36,7 @@ from ckhopf.graphs import (
     to_json_dict,
 )
 from ckhopf.poly import GraphPoly
-from ckhopf.serialize import dumps, poly_to_doc
+from ckhopf.serialize import dumps, invariant_to_doc, poly_to_doc
 from ckhopf.verify import run_suite
 from ckhopf.tensors import (
     InvariantTensor,
@@ -66,9 +67,17 @@ CASES = {
 # ``--format text`` outputs.  The antipode of the loop-edge-loop graph has
 # terms whose order by written graph key differs from their order by tuple of
 # component keys, so these catch a writer that sorts by the wrong key.
+# The others give one case per writer of ``cli``.
 TEXT_CASES = {
     "antipode_loop_edge_loop.txt": ["antipode", str(GOLDEN / "graph_loop_edge_loop.json")],
     "star_twoleg_loop1.txt": ["star", "twoleg", "loop1"],
+    "coproduct_bubble.txt": ["coproduct", "bubble"],
+    "phi_bubble_3.txt": ["phi", "bubble", "--dim", "3"],
+    "psi_phi_bubble_3.txt": ["psi", str(GOLDEN / "phi_bubble_3.json")],
+    "delta_bubble_2_2.txt": ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "2", "--n", "2"],
+    "aut_theta.txt": ["aut", "theta"],
+    "contract_bubble_0-1.txt": ["contract", "bubble", "--edges", "0-1"],
+    "enumerate_2_connected.txt": ["enumerate", "--edges", "2", "--connected"],
 }
 
 VERIFY_GRADING_SHA256 = "ec5cda02de527676360ee9a0c83d6260a40981f78ed3bfb51930c6d706f0faa9"
@@ -130,6 +139,60 @@ ENUMERATION_SHA256 = "24ce0adacc1a674784d24ae4d493fed299e3913742bee47eb7d22b7723
 # insertion result of two connected_corpus(3) graphs: unlike PINNED_SHA256 in
 # test_canonical.py, it covers the monomial keys, the parts of H's basis.
 CANONICAL_TRIPLE_SHA256 = "e5fbde9e2a5cdb3534316668405e0a3ba2ce2db11d43e31145527772f45ad9c6"
+
+
+# sha256 of (argv, exit code, stdout, stderr), one line per invocation, over
+# ``_cli_sweep``: every command on every named graph (and every ordered pair for
+# ``insert`` and ``star``), ``enumerate`` at 0..3 edges with each filter,
+# ``psi`` and three ``delta`` splits on four ``phi`` files, two ``verify``
+# suites and one malformed input per input kind, each in both formats.
+CLI_SWEEP_SHA256 = "f34fa04ece3fe16fa5e4dd634813b46433b70853c25ea26f2aa8c0ea8a407f40"
+
+# (file name, graph, dim) of the tensor files that ``psi`` and ``delta`` read.
+SWEEP_TENSORS = [
+    ("bubble_4", "bubble", 4),
+    ("theta_3", "theta", 3),
+    ("twoleg_4", "twoleg", 4),
+    ("tadpole2_2", "tadpole2", 2),
+]
+
+
+def _cli_sweep(tensor_dir: Path) -> list[list[str]]:
+    names = list(NAMED_BUILDERS)
+    runs = []
+    for g in names:
+        runs += [["aut", g], ["contract", g, "--edges", "0-1"], ["antipode", g], ["phi", g, "--dim", "3"]]
+        runs += [["coproduct", g], ["coproduct", g, "--full-subgraph-term"]]
+    runs += [[op, g1, g2] for op in ("insert", "star") for g1 in names for g2 in names]
+    for edges in range(4):
+        for filt in ([], ["--connected"], ["--connected-plus"]):
+            runs.append(["enumerate", "--edges", str(edges)] + filt)
+    for name, _, dim in SWEEP_TENSORS:
+        path = str(tensor_dir / f"{name}.json")
+        runs.append(["psi", path])
+        runs += [["delta", path, "--m", str(m), "--n", str(dim - m)] for m in sorted({0, dim // 2, dim})]
+    runs += [["verify", "--suite", suite, "--max-edges", "2"] for suite in ("grading", "roundtrip")]
+    # one malformed input per input kind: a graph name, --edges and a tensor file
+    runs += [["aut", "nosuchgraph"], ["contract", "bubble", "--edges", "0-"]]
+    runs.append(["psi", str(tensor_dir / "truncated.json")])
+    return [argv + ["--format", fmt] for argv in runs for fmt in ("json", "text")]
+
+
+def test_cli_sweep_digest(capsys, tmp_path):
+    for name, g, dim in SWEEP_TENSORS:
+        (tmp_path / f"{name}.json").write_text(dumps(invariant_to_doc(phi(named_graph(g), dim))))
+    doc = (tmp_path / "bubble_4.json").read_text()
+    (tmp_path / "truncated.json").write_text(doc[: len(doc) // 2])
+    lines = []
+    for argv in _cli_sweep(tmp_path):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        # the text report of verify prints each check's time
+        out = re.sub(r"(PASS|FAIL) +[0-9.]+s", r"\1 <time>", out)
+        lines.append(repr((argv, code, out, err)).replace(str(tmp_path), "<tmp>"))
+    assert len(lines) == 786
+    digest = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+    assert digest == CLI_SWEEP_SHA256
 
 
 def json_output(capsys, argv):

@@ -66,7 +66,8 @@ def test_equality_needs_same_type_and_space():
     assert hash(GraphPoly(terms)) == hash(GraphPoly(dict(terms)))
     term = {(((1, 1),), ()): Fraction(1)}
     assert InvariantTensor(2, term) != InvariantTensor(3, term)
-    assert PairTensor(1, 2, terms) != PairTensor(2, 1, terms)
+    pair = {(((), ()), ((), ())): Fraction(1)}
+    assert PairTensor(1, 2, pair) != PairTensor(2, 1, pair)
 
 
 def test_raw_tensor_equality_compares_dim():

@@ -574,6 +574,24 @@ def test_constructor_rejects_bad_blocks_and_indices(term):
         InvariantTensor(2, [(term, 1)])
     with pytest.raises(InvalidInput):
         InvariantTensor(2, {term: 0})
+    unit = ((), ())
+    for key in ((term, unit), (unit, term)):
+        with pytest.raises(InvalidInput):
+            PairTensor(2, 2, {key: 1})
+
+
+def test_pair_tensor_legs_in_normal_form():
+    t = PairTensor(0, 2, {(((), ()), (((2, 1),), ())): Fraction(1)})
+    assert t == PairTensor(0, 2, {(((), ()), (((1, 2),), ())): Fraction(1)})
+    assert t.left_counit() == InvariantTensor(2, {(((1, 2),), ()): 1})
+
+
+def test_pair_tensor_checks_each_leg_against_its_dim():
+    with pytest.raises(InvalidInput):
+        PairTensor(1, 1, {((((5,),), ()), ((), ())): Fraction(1)})
+    assert not PairTensor(1, 2, {(((), ()), (((2,),), ())): 1}).is_zero()
+    with pytest.raises(InvalidInput):
+        PairTensor(2, 1, {(((), ()), (((2,),), ())): 1})
 
 
 def test_constructor_checks_indices_against_dim():

@@ -83,11 +83,16 @@ def test_unexpected_exception_fails_only_its_check(monkeypatch):
     assert not rep.passed
 
 
-def test_phi_psi_on_image_skips_graphs_above_the_dimension():
-    # psi is 0 on bigrade N > n by definition, while phi(rose5, 4) is not
+def test_phi_psi_on_image_skips_graphs_above_the_dimension(monkeypatch):
+    # psi is 0 on bigrade N > n by definition, while phi(rose5, 4) is not: the
+    # predicate fails rose5, so the suite must not hand it such a graph
     rose5 = graph(edges=[(2 * i, 2 * i + 1) for i in range(5)], vertices=[tuple(range(10))])
     assert not phi(rose5, 4).is_zero()
-    assert verify._check_phi_psi(rose5, 4) is None
+    assert verify._check_phi_psi(rose5, 4) is not None
+    checked = []
+    monkeypatch.setattr(verify, "_check_phi_psi", lambda g, dim: checked.append((g, dim)))
+    assert run_suite("roundtrip", max_edges=3, dim=2).passed
+    assert checked and all(len(g.edges) <= 2 and not g.n_empty and dim == 2 for g, dim in checked)
 
 
 def test_roundtrip_reports_skipped_graphs():
