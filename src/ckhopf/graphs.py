@@ -260,9 +260,18 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 # is a set of twins, by a search for the least code over orderings compatible
 # with the color classes, pruned by the automorphisms it finds.  The canonical
 # graph, its key and its parts are read off that code, once per code.
+#
+# ``_class_of`` does all of this for a multigraph given directly, and only
+# ``_canonical`` memoizes it per labelled graph.  The insertion product sum
+# builds each graft's vertex multigraph without a labelled graph and hands it
+# to ``_class_of``, so no graft enters the ``_canonical`` memo; only
+# ``insertion.insert_at`` builds labelled grafts.
 
 
 def _multigraph(g: HalfEdgeGraph):
+    """(V, ext, loops, mult): per nonempty vertex in the order of
+    ``g.vertices``, its external flag and loop count, and the matrix of edge
+    multiplicities between distinct vertices."""
     V = len(g.vertices)
     ext_set = g.external_set()
     ext = [1 if (len(v) == 1 and v[0] in ext_set) else 0 for v in g.vertices]
@@ -494,13 +503,21 @@ def from_json_dict(doc: dict) -> HalfEdgeGraph:
     )
 
 
-@lru_cache(maxsize=None)
-def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
-    V, ext, loops, mult = _multigraph(g)
+def _class_of(
+    V, ext, loops, mult, n_empty: int
+) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
+    """The canonical key, canonical graph, |Aut| and monomial key of the graph
+    whose vertex multigraph is (V, ext, loops, mult), with ``n_empty`` empty
+    vertices."""
     classes = _refine_classes(V, ext, loops, mult)
     code, aut_mg = _minimal_code(V, ext, loops, mult, classes)
-    key, canon, aut_edges, parts = _code_tail(code, g.n_empty)
+    key, canon, aut_edges, parts = _code_tail(code, n_empty)
     return key, canon, aut_mg * aut_edges, parts
+
+
+@lru_cache(maxsize=None)
+def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
+    return _class_of(*_multigraph(g), g.n_empty)
 
 
 @lru_cache(maxsize=None)

@@ -59,7 +59,7 @@ from .errors import (
     NotInLPlus,
     ShapeMismatch,
 )
-from .graphs import HalfEdgeGraph
+from .graphs import HalfEdgeGraph, _is_index
 from .poly import GraphPoly, Scalar, SparseVector, _summed, linear_combination, sym
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -71,13 +71,30 @@ def _norm_term(blocks: Iterable[Sequence[int]], external: Sequence[int]) -> Term
     return tuple(sorted(map(tuple, map(sorted, blocks)))), tuple(sorted(external))
 
 
-def _check_term(dim: int, term: Term) -> None:
-    """Raise InvalidInput if the normal-form ``term`` has an empty block or an
-    index outside 1..dim."""
-    blocks, ext = term
+def _read_term(dim: int, key: object) -> Term:
+    """The normal form of a term key, checked: InvalidInput unless ``key`` is
+    a (blocks, external) pair of integer indices with no empty block and
+    every index in 1..dim."""
+    try:
+        blocks, ext = key
+        blocks, ext = _norm_term(blocks, ext)
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{key!r} is not a (blocks, external) term") from None
+    if not all(map(_is_index, chain(ext, *blocks))):
+        raise InvalidInput(f"{key!r} has an index that is not an integer")
     # each block and the external monomial is sorted
     if () in blocks or any(b[0] < 1 or b[-1] > dim for b in (*blocks, ext) if b):
-        raise InvalidInput(f"{term!r} has an empty block or an index outside 1..{dim}")
+        raise InvalidInput(f"{(blocks, ext)!r} has an empty block or an index outside 1..{dim}")
+    return blocks, ext
+
+
+def _read_pair(dim_left: int, dim_right: int, key: object) -> tuple[Term, Term]:
+    """Both legs of a ``PairTensor`` key through ``_read_term``."""
+    try:
+        left, right = key
+    except (TypeError, ValueError):
+        raise InvalidInput(f"{key!r} is not a pair of (blocks, external) terms") from None
+    return _read_term(dim_left, left), _read_term(dim_right, right)
 
 
 class InvariantTensor(SparseVector):
@@ -86,8 +103,9 @@ class InvariantTensor(SparseVector):
     The constructor takes terms, as a dict or as (term, coefficient) pairs, in
     any order: it sorts each block, the block list and the external monomial,
     and adds the coefficients of terms that become equal.  So every stored
-    block and external monomial is sorted.  An empty block or an index outside
-    1..dim raises InvalidInput, whatever the coefficient.
+    block and external monomial is sorted.  An empty block, an index outside
+    1..dim, an index that is not an integer and a key that is not a (blocks,
+    external) pair raise InvalidInput, whatever the coefficient.
     """
 
     __slots__ = ("dim",)
@@ -95,10 +113,7 @@ class InvariantTensor(SparseVector):
     def __init__(self, dim: int, terms: dict[Term, Scalar] | Iterable[tuple[Term, Scalar]] = ()):
         self.dim = dim
         items = terms.items() if isinstance(terms, dict) else terms
-        terms = _summed((_norm_term(blocks, ext), c) for (blocks, ext), c in items)
-        for term in terms:
-            _check_term(dim, term)
-        super().__init__(terms)
+        super().__init__(_summed((_read_term(dim, key), c) for key, c in items))
 
     @classmethod
     def _from_normal(
@@ -217,11 +232,7 @@ class PairTensor(SparseVector):
         self.dim_left = dim_left
         self.dim_right = dim_right
         items = terms.items() if isinstance(terms, dict) else terms
-        terms = _summed(((_norm_term(*tl), _norm_term(*tr)), c) for (tl, tr), c in items)
-        for tl, tr in terms:
-            _check_term(dim_left, tl)
-            _check_term(dim_right, tr)
-        super().__init__(terms)
+        super().__init__(_summed((_read_pair(dim_left, dim_right, key), c) for key, c in items))
 
     @classmethod
     def _from_normal(cls, dim_left: int, dim_right: int, terms) -> "PairTensor":

@@ -310,9 +310,9 @@ def _with_polys(triples):
         yield tuple((g, GraphPoly.from_graph(g)) for g in triple)
 
 
-def _right_symmetry_triples(graphs):
-    """The triples (a, b, c) of (graph, GraphPoly) pairs with b no later than c
-    in ``graphs``, each GraphPoly built once.
+def _right_symmetry_triples(n: int):
+    """The triples (a, b, c) of positions in a pool of n graphs with b no later
+    than c.
 
     ``assoc(a, b, c) == assoc(a, c, b)`` is symmetric in b and c whatever the
     insertion product computes: (a, b, c) and (a, c, b) compute the same
@@ -321,9 +321,32 @@ def _right_symmetry_triples(graphs):
     the counterexample and any error text are those of all ordered triples.
     b == c stays, since a fault in ``insertion_product(b, b)`` shows only there.
     """
-    keyed = [(g, GraphPoly.from_graph(g)) for g in graphs]
-    pairs = list(itertools.combinations_with_replacement(keyed, 2))
-    yield from ((a, b, c) for a in keyed for b, c in pairs)
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    yield from ((a, b, c) for a in range(n) for b, c in pairs)
+
+
+def _right_symmetry_check(graphs: list[HalfEdgeGraph]):
+    """The predicate of the exhaustive right-symmetry check on positions in
+    ``graphs``.  It fills a table of the pool's products x o y on first use,
+    so a triple makes 4 insertion products instead of 8, in the order
+    ``insertion.associator`` makes them."""
+    polys = [GraphPoly.from_graph(g) for g in graphs]
+    table: dict[tuple[int, int], GraphPoly] = {}
+
+    def times(x: int, y: int) -> GraphPoly:
+        if (x, y) not in table:
+            table[x, y] = insertion.insertion_product(polys[x], polys[y])
+        return table[x, y]
+
+    def fails(triple):
+        # looked up at call time, as in ``times``, so a replaced product is used
+        ip = insertion.insertion_product
+        a, b, c = triple
+        left = ip(times(a, b), polys[c]) - ip(polys[a], times(b, c))
+        right = ip(times(a, c), polys[b]) - ip(polys[a], times(c, b))
+        return None if left == right else _docs(graphs[a], graphs[b], graphs[c])
+
+    return fails
 
 
 def _check_jacobi(triple):
@@ -349,8 +372,8 @@ def _check_insertion_grading(pair):
 
 def _suite_prelie(r: VerificationReport, max_edges: int, seed: int, prelie_samples: int, **_):
     small = [g for g in connected_corpus(max_edges) if g.grade().m <= 2]
-    triples = _right_symmetry_triples(small)
-    _run(r, "associator-right-symmetry-exhaustive", triples, _check_prelie_triple)
+    triples = _right_symmetry_triples(len(small))
+    _run(r, "associator-right-symmetry-exhaustive", triples, _right_symmetry_check(small))
 
     rng = random.Random(seed)
     four = enumerate_graphs(4, "connected_plus")

@@ -1,9 +1,12 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 
+from ckhopf import graphs
 from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import NotInternalVertex, ValencyMismatch
 from ckhopf.graphs import (
@@ -12,8 +15,11 @@ from ckhopf.graphs import (
     HalfEdgeGraph,
     canonical_key,
     disjoint_union,
+    dot_graph,
+    graph,
     is_isomorphic,
     monomial_key,
+    relabel,
 )
 from ckhopf.insertion import _insertion_basis, associator, insert_at, insertion_product, prelie_check
 from ckhopf.poly import GraphPoly
@@ -69,11 +75,16 @@ def test_prelie_check_trivial(bubble, twoleg):
     assert prelie_check(P(bubble), P(twoleg), P(twoleg))
 
 
-def test_prelie_check_concrete(loop1, twoleg):
+def test_prelie_check_concrete(loop1, twoleg, bubble):
     a, b = P(loop1), P(twoleg)
     assert prelie_check(a, b, b)
-    assert associator(a, b, b).is_zero() or True  # value checked by symmetry below
-    assert associator(a, b, b) == associator(a, b, b)
+    # a one-vertex host has no pair of distinct sites
+    assert associator(a, b, b).is_zero()
+    # 2 ordered pairs of distinct sites, each twoleg grafted in 2 ways: the 4-cycle
+    cycle4 = graph(
+        edges=[(0, 1), (2, 3), (4, 5), (6, 7)], vertices=[(1, 2), (3, 4), (5, 6), (7, 0)]
+    )
+    assert associator(P(bubble), b, b) == P(cycle4).scale(8)
 
 
 def test_prelie_exhaustive_small():
@@ -123,14 +134,110 @@ def _checked_insertion_sum(g1, g2):
     return GraphPoly({key: Fraction(m) for key, m in out.items()})
 
 
-def test_unchecked_grafts_match_the_checked_insertion_sum():
+# a loop at a vertex that also carries two legs: a valency-4 site
+LOOP_TWO_LEGS = graph(
+    edges=[(0, 1), (2, 3), (4, 5)], vertices=[(0, 1, 2, 4), (3,), (5,)], external=[3, 5]
+)
+# one internal edge with two legs at each end
+H_FOUR_LEGS = graph(
+    edges=[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)],
+    vertices=[(0, 2, 4), (1, 6, 8), (3,), (5,), (7,), (9,)],
+    external=[3, 5, 7, 9],
+)
+
+
+def _sites(g1, g2):
+    """The internal vertices of g1 with as many half-edges as g2 has external
+    edges, each as (carries a loop, carries a leg)."""
+    e = len(g2.external_edges())
+    partner, ext = g1.partner(), g1.external_set()
+    return [
+        (any(partner[h] in v for h in v), any(partner[h] in ext for h in v))
+        for v in g1.internal_vertices()
+        if len(v) == e
+    ]
+
+
+def _two_legs_on_a_vertex(g):
+    partner, ext = g.partner(), g.external_set()
+    return any(sum(partner[h] in ext for h in v) >= 2 for v in g.internal_vertices())
+
+
+def _graft_cases():
+    """Every pair of connected_corpus(3) graphs and a host with two empty
+    vertices; a seeded sample of the connected_corpus(4, plus=False) pairs in
+    which g2 fits a site; and hosts with a loop or a leg at a valency-4 site,
+    receiving graphs with two legs on one vertex."""
     plus = connected_corpus(3)
     # two empty vertices, so each counts in the 0-valent branch
     host = disjoint_union(named_graph("loop1"), disjoint_union(EMPTY_VERTEX, EMPTY_VERTEX))
-    zero_valent = 0
-    for g1 in (*plus, host):
-        for g2 in plus:
-            want = _checked_insertion_sum(g1, g2)
-            assert _insertion_basis(monomial_key(g1), monomial_key(g2)) == want, (g1, g2)
-            zero_valent += g1 is host and not want.is_zero()
-    assert zero_valent > 0
+    cases = [(g1, g2) for g1 in (*plus, host) for g2 in plus]
+    four = connected_corpus(4, plus=False)
+    fitting = [(g1, g2) for g1 in four for g2 in four if _sites(g1, g2)]
+    cases += random.Random(18).sample(fitting, 150)
+    hosts = [named_graph(name) for name in ("twoloop", "tadpole2", "twoleg")] + [LOOP_TWO_LEGS]
+    guests = (dot_graph(3), dot_graph(4), LOOP_TWO_LEGS, H_FOUR_LEGS)
+    cases += [(g1, g2) for g1 in hosts for g2 in guests]
+    return cases
+
+
+def _basis(g1, g2):
+    return _insertion_basis(monomial_key(g1), monomial_key(g2))
+
+
+def test_unchecked_grafts_match_the_checked_insertion_sum():
+    covered = Counter()
+    for g1, g2 in _graft_cases():
+        want = _checked_insertion_sum(g1, g2)
+        assert _basis(g1, g2) == want, (g1, g2)
+        if want.is_zero():
+            continue
+        sites = _sites(g1, g2)
+        covered["zero-valent"] += not g2.external
+        covered["valency 4"] += len(g2.external) == 4
+        covered["loop at the site"] += any(loop for loop, _ in sites)
+        covered["leg at the site"] += any(leg for _, leg in sites)
+        covered["two legs on one vertex"] += _two_legs_on_a_vertex(g2)
+    assert len(covered) == 5 and all(covered.values()), covered
+
+
+def test_insertion_basis_counts_every_bijection():
+    # each eligible site gives e! bijections and each empty vertex one graft
+    # of a leg-less g2; a g2 with an edge between two legs fits nowhere
+    for g1, g2 in _graft_cases():
+        e = len(g2.external)
+        fits = len(g2.external_edges()) == e
+        want = fits * (len(_sites(g1, g2)) * factorial(e) + (0 if e else g1.n_empty))
+        assert sum(c for _, c in _basis(g1, g2).terms()) == want, (g1, g2)
+
+
+def test_insertion_basis_leaves_the_canonical_memo_alone():
+    plus = connected_corpus(3)
+    keys = [monomial_key(g) for g in connected_corpus(4)]
+    pairs = [(k1, k2) for k1 in keys for k2 in keys]
+
+    def products():
+        _insertion_basis.cache_clear()
+        before = graphs._canonical.cache_info().currsize
+        out = [_insertion_basis(k1, k2) for k1, k2 in pairs]
+        assert graphs._canonical.cache_info().currsize == before
+        return out
+
+    graphs._canonical.cache_clear()
+    graphs._code_tail.cache_clear()
+    cold = products()
+    # warm both memos with the canonical forms of relabelled labelled grafts
+    grafts = [
+        insert_at(g1, v, dict(zip(v, g2.external_edges())), g2)
+        for g1 in plus
+        for g2 in plus
+        for v in g1.internal_vertices()
+        if len(v) == len(g2.external) == len(g2.external_edges())
+    ]
+    assert grafts
+    rng = random.Random(18)
+    for g in grafts:
+        labels = list(g.half_edges)
+        rng.shuffle(labels)
+        monomial_key(relabel(g, dict(zip(g.half_edges, labels))))
+    assert products() == cold

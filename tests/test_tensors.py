@@ -580,6 +580,25 @@ def test_constructor_rejects_bad_blocks_and_indices(term):
             PairTensor(2, 2, {key: 1})
 
 
+@pytest.mark.parametrize(
+    "key",
+    [b"k", (((1,),),), ((1,), ()), (((1.0,),), ()), ((("a",),), ()), ((), (True,)), ((), 1)],
+)
+def test_constructor_rejects_malformed_keys(key):
+    with pytest.raises(InvalidInput):
+        InvariantTensor(2, {key: 1})
+    unit = ((), ())
+    for pair in ((key, unit), (unit, key)):
+        with pytest.raises(InvalidInput):
+            PairTensor(2, 2, {pair: 1})
+
+
+@pytest.mark.parametrize("key", [b"k", (((), ()),), ((), (), ()), 7])
+def test_pair_tensor_rejects_a_key_that_is_not_a_pair_of_terms(key):
+    with pytest.raises(InvalidInput):
+        PairTensor(1, 2, {key: 1})
+
+
 def test_pair_tensor_legs_in_normal_form():
     t = PairTensor(0, 2, {(((), ()), (((2, 1),), ())): Fraction(1)})
     assert t == PairTensor(0, 2, {(((), ()), (((1, 2),), ())): Fraction(1)})
