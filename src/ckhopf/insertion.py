@@ -71,18 +71,23 @@ def insert_at(
     return HalfEdgeGraph.of(edges, vertices, g1.external, g1.n_empty + g2.n_empty - (not site))
 
 
+# the one value of every pair that has no graft, so that the memo keeps one
+# zero and not a GraphPoly per such pair; GraphPoly is immutable
+_NO_GRAFT = GraphPoly()
+
+
 @lru_cache(maxsize=None)
 def _insertion_basis(k1: Key, k2: Key) -> GraphPoly:
     """g1 o g2 on two basis keys, grafted on vertex multigraphs."""
     g1, g2 = graph_from_key(written_key(k1)), graph_from_key(written_key(k2))
     e = len(g2.external_edges())
     if len(g2.external) != e:
-        return GraphPoly()  # an edge between two external vertices attaches to no vertex
+        return _NO_GRAFT  # an edge between two external vertices attaches to no vertex
     ext_set = g1.external_set()
     # the internal vertices of valency e, numbered as in g1's multigraph
     sites = [s for s, v in enumerate(g1.vertices) if len(v) == e and v[0] not in ext_set]
     if not sites and not (e == 0 and g1.n_empty):
-        return GraphPoly()
+        return _NO_GRAFT
     V1, ext1, loops1, mult1 = _multigraph(g1)
     V2, ext2, loops2, mult2 = _multigraph(g2)
     n_empty = g1.n_empty + g2.n_empty

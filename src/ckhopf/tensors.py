@@ -22,14 +22,19 @@ constructor normalizes and checks each leg, while ``tensor_delta``, ``outer``,
 The graph-to-tensor map ``phi`` is the block-symmetrized chord invariant
 beta_c of a block presentation of the graph.  It counts the index assignments
 of the chords by the normal-form term each one gives, so it never writes
-beta_c's words.  ``psi`` inverts it by evaluating an invariant lift
-against the coinvariants z_c.  The lift of a term averages its words over the
-group that reorders each block, the blocks of equal size and the external
-monomial, so its value on one word is the coefficient of the word's term over
-the size of that term's orbit.  ``psi`` reads this closed form at the single
-word of each z_c and never builds the lift: one lookup per chord diagram, and
-one canonical form per block multigraph, since diagrams whose chords join the
-same blocks give isomorphic graphs and terms of equal orbit size.
+beta_c's words.  It sorts each raw slice of a word (the part that belongs to
+one block or to the external monomial) once per call and takes the sorted
+tuple from one process-wide table, so the terms of every tensor share one
+tuple per distinct sorted block or external monomial; the tensors themselves
+are still computed and stored per n.  ``psi`` inverts it by evaluating an
+invariant lift against the coinvariants z_c.  The lift of a term averages its
+words over the group that reorders each block, the blocks of equal size and
+the external monomial, so its value on one word is the coefficient of the
+word's term over the size of that term's orbit.  ``psi`` reads this closed
+form at the single word of each z_c and never builds the lift: one lookup per
+chord diagram, and one canonical form per block multigraph, since diagrams
+whose chords join the same blocks give isomorphic graphs and terms of equal
+orbit size.
 """
 
 from __future__ import annotations
@@ -167,6 +172,22 @@ def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
     return InvariantTensor(f.dim, ((_cut(word, cuts), c) for word, c in f._terms.items()))
 
 
+# every sorted block and external monomial that phi has written, as itself:
+# the terms of all tensors share one tuple per distinct multiset of indices
+_SHARED: dict[Mono, Mono] = {}
+
+
+class _SortedSlices(dict):
+    """Raw slice of a word -> its shared sorted tuple, filled on first sight."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: Mono) -> Mono:
+        s = tuple(sorted(raw))
+        s = self[raw] = _SHARED.setdefault(s, s)
+        return s
+
+
 @lru_cache(maxsize=None)
 def _phi_cached(g: HalfEdgeGraph, n: int) -> InvariantTensor:
     shape, c = chord_from_graph(g)
@@ -178,10 +199,13 @@ def _phi_cached(g: HalfEdgeGraph, n: int) -> InvariantTensor:
     cuts = list(accumulate(shape.internal, initial=0))
     blocks = [slice(a, b) for a, b in pairwise(cuts)]
     external = slice(cuts[-1], None)
+    # kept for this call only: keyed by raw slice, it could reach n**k entries
+    # for a graph with k legs
+    sorted_of = _SortedSlices()
 
     def term(a: tuple[int, ...]) -> Term:
         word = word_of(a)
-        return tuple(sorted([tuple(sorted(word[b])) for b in blocks])), tuple(sorted(word[external]))
+        return tuple(sorted([sorted_of[word[b]] for b in blocks])), sorted_of[word[external]]
 
     counts = Counter(map(term, iproduct(range(1, n + 1), repeat=c.size)))
     # one Fraction per count value: most terms share a few small counts

@@ -22,7 +22,7 @@ from ckhopf.graphs import (
     relabel,
 )
 from ckhopf.insertion import _insertion_basis, associator, insert_at, insertion_product, prelie_check
-from ckhopf.poly import GraphPoly
+from ckhopf.poly import GraphPoly, linear_combination
 
 
 def P(g):
@@ -114,6 +114,20 @@ def test_insert_graph_with_edge_between_legs():
     site = dumbbell.internal_vertices()[0]
     with pytest.raises(ValencyMismatch):
         insert_at(dumbbell, site, {site[0]: freeprop.edges[0]}, freeprop)
+
+
+def test_pairs_with_no_graft_share_one_zero(loop1, twoleg):
+    key = lambda name: monomial_key(named_graph(name))
+    # an edge between two legs of g2; no site of g2's valency in g1
+    legs_joined = _insertion_basis(key("dumbbell"), key("freeprop"))
+    no_site = _insertion_basis(key("loop1"), key("bubble"))
+    assert legs_joined is no_site
+    assert legs_joined == GraphPoly()
+    freeprop = P(named_graph("freeprop"))
+    assert insertion_product(P(named_graph("dumbbell")) + P(loop1), freeprop).is_zero()
+    p = insertion_product(P(loop1), P(twoleg))
+    assert linear_combination([(no_site, 3), (p, 2), (no_site, -1)], GraphPoly()) == p.scale(2)
+    assert no_site.is_zero() and no_site == GraphPoly()
 
 
 def _checked_insertion_sum(g1, g2):

@@ -1,6 +1,7 @@
+import hashlib
 import random
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,8 +27,10 @@ from ckhopf.errors import (
 )
 from ckhopf.graphs import (
     disjoint_union,
+    dot_graph,
     enumerate_by_grade,
     enumerate_graphs,
+    graph,
     is_isomorphic,
     monomial_key,
 )
@@ -52,7 +55,7 @@ from ckhopf.tensors import (
     tensor_prelie,
 )
 from test_canonical import _relabelled
-from test_golden import _in_l_plus, _phi_cases, _random_tensor
+from test_golden import PHI_TABLE_SHA256, _in_l_plus, _phi_cases, _random_tensor
 
 
 def P(g):
@@ -635,6 +638,58 @@ def test_phi_counts_equal_block_symmetrized_beta(n):
         coeffs = [v for _, v in t.terms()]
         assert sum(coeffs) == n ** len(h.edges)
         assert all(type(v) is Fraction for v in coeffs)
+
+
+def _parts(t: InvariantTensor):
+    """Every block and external monomial object that the terms of t hold."""
+    for blocks, ext in t._terms:
+        yield from blocks
+        yield ext
+
+
+def test_phi_terms_share_one_tuple_per_block_and_external_monomial():
+    # fresh computations, so that no tensor memoized before a clear of the
+    # shared table takes part
+    fresh = _phi_cached.__wrapped__
+    seen: dict = {}
+    for g, h in _phi_cases()[::7]:
+        for n in (2, 3, 4):
+            for part in chain(_parts(fresh(g, n)), _parts(fresh(h, n))):
+                seen.setdefault(part, part)
+                assert seen[part] is part, part
+    assert {len(part) for part in seen} >= {0, 1, 2, 3, 4}
+
+
+def test_phi_does_not_depend_on_the_shared_table_being_warm():
+    def table():
+        _phi_cached.cache_clear()
+        return [(n, phi(h, n)) for _, h in _phi_cases() for n in range(1, 6)]
+
+    tensors_module._SHARED.clear()
+    cold = table()
+    warm = table()
+    assert warm == cold
+    for t in (cold, warm):
+        lines = [f"{n} {list(tn.terms())!r}" for n, tn in t]
+        assert hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest() == PHI_TABLE_SHA256
+    # the warm run took every tuple from the table that the cold run filled
+    for (_, a), (_, b) in zip(cold, warm):
+        assert all(x is y for x, y in zip(_parts(a), _parts(b)))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_phi_with_six_or_more_legs_equals_block_symmetrized_beta(n):
+    # two 4-valent vertices joined by an edge, three legs each and a loop on
+    # one: 8 chords whose external slice has 6 positions
+    legged = graph(
+        edges=[(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (12, 13), (14, 15)],
+        vertices=[(0, 2, 4, 6, 14, 15), (1, 8, 10, 12), (3,), (5,), (7,), (9,), (11,), (13,)],
+        external=[3, 5, 7, 9, 11, 13],
+    )
+    for g in (dot_graph(6), dot_graph(7), legged):
+        shape, c = chord_from_graph(g)
+        assert shape.external >= 6
+        assert phi(g, n) == block_symmetrize(beta(c, n), shape)
 
 
 def test_phi_and_beta_share_the_assignment_bound(monkeypatch):
