@@ -258,14 +258,17 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 # vertices and of parallel edge bundles extends to a half-edge isomorphism.
 # The multigraph is ordered by color refinement, then, unless every color class
 # is a set of twins, by a search for the least code over orderings compatible
-# with the color classes, pruned by the automorphisms it finds.  The canonical
-# graph, its key and its parts are read off that code, once per code.
+# with the color classes, pruned by the automorphisms it finds.  The key and
+# the parts are read off that code, once per code, through the canonical
+# graph, which is not kept: ``canonical_form`` parses the key back with
+# ``graph_from_key``, which gives the same graph.
 #
 # ``_class_of`` does all of this for a multigraph given directly, and only
 # ``_canonical`` memoizes it per labelled graph.  The insertion product sum
 # builds each graft's vertex multigraph without a labelled graph and hands it
 # to ``_class_of``, so no graft enters the ``_canonical`` memo; only
-# ``insertion.insert_at`` builds labelled grafts.
+# ``insertion.insert_at`` builds labelled grafts, and a graft reads only the
+# monomial key.
 
 
 def _multigraph(g: HalfEdgeGraph):
@@ -503,28 +506,26 @@ def from_json_dict(doc: dict) -> HalfEdgeGraph:
     )
 
 
-def _class_of(
-    V, ext, loops, mult, n_empty: int
-) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
-    """The canonical key, canonical graph, |Aut| and monomial key of the graph
-    whose vertex multigraph is (V, ext, loops, mult), with ``n_empty`` empty
-    vertices."""
+def _class_of(V, ext, loops, mult, n_empty: int) -> tuple[bytes, int, tuple[bytes, ...]]:
+    """The canonical key, |Aut| and monomial key of the graph whose vertex
+    multigraph is (V, ext, loops, mult), with ``n_empty`` empty vertices."""
     classes = _refine_classes(V, ext, loops, mult)
     code, aut_mg = _minimal_code(V, ext, loops, mult, classes)
-    key, canon, aut_edges, parts = _code_tail(code, n_empty)
-    return key, canon, aut_mg * aut_edges, parts
+    key, aut_edges, parts = _code_tail(code, n_empty)
+    return key, aut_mg * aut_edges, parts
 
 
 @lru_cache(maxsize=None)
-def _canonical(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
+def _canonical(g: HalfEdgeGraph) -> tuple[bytes, int, tuple[bytes, ...]]:
     return _class_of(*_multigraph(g), g.n_empty)
 
 
 @lru_cache(maxsize=None)
-def _code_tail(code, n_empty: int) -> tuple[bytes, HalfEdgeGraph, int, tuple[bytes, ...]]:
-    """What a code fixes, built once per code: the canonical graph, its key,
-    the factor of |Aut| that permutes loops and parallel edges, and the
-    monomial key."""
+def _code_tail(code, n_empty: int) -> tuple[bytes, int, tuple[bytes, ...]]:
+    """What a code fixes, built once per code: the canonical key, the factor
+    of |Aut| that permutes loops and parallel edges, and the monomial key.
+    The canonical graph is rebuilt here but not kept: ``graph_from_key``
+    gives it back to the callers that ask for it."""
     canon = _rebuild_canonical(code, n_empty)
     key = json.dumps(to_json_dict(canon), separators=(",", ":")).encode("ascii")
     aut_edges = prod([2**n * factorial(n) * prod(map(factorial, row)) for _, n, row in code])
@@ -533,12 +534,13 @@ def _code_tail(code, n_empty: int) -> tuple[bytes, HalfEdgeGraph, int, tuple[byt
         parts = (key,)
     else:
         parts = tuple(map(canonical_key, connected_components(canon)))
-    return key, canon, aut_edges, parts
+    return key, aut_edges, parts
 
 
 def canonical_form(g: HalfEdgeGraph) -> tuple[bytes, HalfEdgeGraph]:
     """Canonical key (bytes of the canonical JSON serialization) and relabeled graph."""
-    return _canonical(g)[:2]
+    key = _canonical(g)[0]
+    return key, graph_from_key(key)
 
 
 def canonical_key(g: HalfEdgeGraph) -> bytes:
@@ -549,7 +551,7 @@ def monomial_key(g: HalfEdgeGraph) -> tuple[bytes, ...]:
     """The key of g as a monomial of H: the sorted canonical keys of its
     connected components.  The empty graph is ``()``, a connected graph
     ``(canonical_key(g),)``, and each empty vertex is its own component."""
-    return _canonical(g)[3]
+    return _canonical(g)[2]
 
 
 def written_key(key: tuple[bytes, ...]) -> bytes:
@@ -568,7 +570,7 @@ def graph_from_key(key: bytes) -> HalfEdgeGraph:
 
 def automorphism_count(g: HalfEdgeGraph) -> int:
     """Number of half-edge bijections g -> g preserving edges, vertices, external."""
-    return _canonical(g)[2]
+    return _canonical(g)[1]
 
 
 def is_isomorphic(g1: HalfEdgeGraph, g2: HalfEdgeGraph) -> bool:
@@ -750,12 +752,11 @@ def _augment(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
             for i in range(len(g.vertices))
             for j in range(i, len(g.vertices) + 1)
         )
-    out: dict[bytes, HalfEdgeGraph] = {}
+    keys: set[bytes] = set()
     for g in grown:
         budget.spend()
-        key, canon = canonical_form(g)
-        out.setdefault(key, canon)
-    return [out[key] for key in sorted(out)]
+        keys.add(canonical_key(g))
+    return [graph_from_key(key) for key in sorted(keys)]
 
 
 def _add_edge(g: HalfEdgeGraph, i: int, j: int, leg: bool) -> HalfEdgeGraph:

@@ -10,6 +10,14 @@ multigraphs: it reattaches each edge at a site to the vertex of g2 that
 carries the matched leg, counts the bijections that give the same multigraph
 together, and canonicalizes each distinct multigraph once through
 ``graphs._class_of``, so no graft enters the ``_canonical`` memo.
+
+A graft reads, per basis key, the vertex multigraph (built part by part, so
+no disjoint union is written out), the internal vertices by valency, the leg
+count and each leg's neighbour, memoized once per key.  ``insertion_product``
+skips a pair of keys that cannot graft before it reaches the pair memo, so
+that memo keeps only pairs that graft, each as (monomial key, bijection
+count) pairs in integers.  It sums those counts times the pair's coefficient
+product in one dict and turns each nonzero sum into a ``Fraction`` once.
 """
 
 from __future__ import annotations
@@ -18,11 +26,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import NotInternalVertex, ValencyMismatch
-from .graphs import HalfEdgeGraph, _class_of, _multigraph, written_key
-from .poly import GraphPoly, Key, graph_from_key, linear_combination
+from .graphs import HalfEdgeGraph, _class_of, _multigraph
+from .poly import GraphPoly, Key, graph_from_key
 
 
 def insert_at(
@@ -71,48 +79,88 @@ def insert_at(
     return HalfEdgeGraph.of(edges, vertices, g1.external, g1.n_empty + g2.n_empty - (not site))
 
 
-# the one value of every pair that has no graft, so that the memo keeps one
-# zero and not a GraphPoly per such pair; GraphPoly is immutable
-_NO_GRAFT = GraphPoly()
+def _block_sum(mult1, mult2) -> list[list[int]]:
+    """The multiplicity matrix of two vertex multigraphs side by side."""
+    V1, V2 = len(mult1), len(mult2)
+    return [[*row, *[0] * V2] for row in mult1] + [[*[0] * V1, *row] for row in mult2]
+
+
+class _Graftable(NamedTuple):
+    """What a graft reads of the graph of a basis key, as host or as guest."""
+
+    ext: tuple[int, ...]  # per vertex of the vertex multigraph: 1 when external
+    loops: tuple[int, ...]
+    mult: tuple[tuple[int, ...], ...]
+    n_empty: int
+    sites: dict[int, tuple[int, ...]]  # valency -> the internal vertices of that valency
+    legs: int | None  # the external vertices; None when an edge joins two of them
+    leg_nbrs: tuple[int, ...]  # per external vertex, its one neighbour
 
 
 @lru_cache(maxsize=None)
-def _insertion_basis(k1: Key, k2: Key) -> GraphPoly:
-    """g1 o g2 on two basis keys, grafted on vertex multigraphs."""
-    g1, g2 = graph_from_key(written_key(k1)), graph_from_key(written_key(k2))
-    e = len(g2.external_edges())
-    if len(g2.external) != e:
-        return _NO_GRAFT  # an edge between two external vertices attaches to no vertex
-    ext_set = g1.external_set()
-    # the internal vertices of valency e, numbered as in g1's multigraph
-    sites = [s for s, v in enumerate(g1.vertices) if len(v) == e and v[0] not in ext_set]
-    if not sites and not (e == 0 and g1.n_empty):
-        return _NO_GRAFT
-    V1, ext1, loops1, mult1 = _multigraph(g1)
-    V2, ext2, loops2, mult2 = _multigraph(g2)
-    n_empty = g1.n_empty + g2.n_empty
+def _graft_data(key: Key) -> _Graftable:
+    """The vertex multigraph of a basis key, its parts side by side, so that
+    no disjoint union is built or canonicalized, and what a graft reads of it."""
+    ext: tuple[int, ...] = ()
+    loops: tuple[int, ...] = ()
+    mult: list[list[int]] = []
+    n_empty = 0
+    for part in key:
+        g = graph_from_key(part)
+        _, ext_p, loops_p, mult_p = _multigraph(g)
+        ext, loops, mult = ext + tuple(ext_p), loops + tuple(loops_p), _block_sum(mult, mult_p)
+        n_empty += g.n_empty
+    sites: dict[int, tuple[int, ...]] = {}
+    for u, row in enumerate(mult):
+        if not ext[u]:
+            valency = sum(row) + 2 * loops[u]
+            sites[valency] = sites.get(valency, ()) + (u,)
+    leg_nbrs = tuple(mult[x].index(1) for x in range(len(ext)) if ext[x])
+    legs = None if any(ext[y] for y in leg_nbrs) else len(leg_nbrs)
+    # memoized, so every field is immutable but the dict, which nothing writes
+    return _Graftable(ext, loops, tuple(map(tuple, mult)), n_empty, sites, legs, leg_nbrs)
+
+
+def _fits(host: _Graftable, legs: int | None) -> bool:
+    """Whether a guest with ``legs`` legs grafts into the host anywhere: at an
+    internal vertex of that valency, or at an empty vertex when it has none."""
+    return legs is not None and (legs in host.sites if legs else host.n_empty > 0)
+
+
+@lru_cache(maxsize=None)
+def _insertion_basis(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
+    """g1 o g2 on two basis keys, grafted on vertex multigraphs: the monomial
+    key of each graft with the number of bijections that give it."""
+    h, g = _graft_data(k1), _graft_data(k2)
+    e = g.legs
+    if not _fits(h, e):
+        return ()
+    V1, V2 = len(h.ext), len(g.ext)
+    n_empty = h.n_empty + g.n_empty
     if not e:
         # each empty vertex of g1 receives g2: the union, one empty vertex used up
-        mult = [row + [0] * V2 for row in mult1] + [[0] * V1 + row for row in mult2]
-        graft = _class_of(V1 + V2, ext1 + ext2, loops1 + loops2, mult, n_empty - 1)
-        return GraphPoly({graft[3]: Fraction(g1.n_empty)})
-    inner = [w for w in range(V2) if not ext2[w]]
+        mult = _block_sum(h.mult, g.mult)
+        graft = _class_of(V1 + V2, h.ext + g.ext, h.loops + g.loops, mult, n_empty - 1)
+        return ((graft[2], h.n_empty),)
+    inner = [w for w in range(V2) if not g.ext[w]]
     # a graft keeps g1's vertices but the site, then adds g2's internal vertices
     V = V1 - 1 + len(inner)
     at = {w: V1 - 1 + i for i, w in enumerate(inner)}
     # each leg attaches to the one neighbour of its external vertex; each order
     # of those vertices comes with the number of bijections that give it
-    arrangements = Counter(permutations([at[mult2[x].index(1)] for x in range(V2) if ext2[x]]))
+    arrangements = Counter(permutations([at[y] for y in g.leg_nbrs]))
     out: Counter = Counter()
-    for s in sites:
+    for s in h.sites[e]:
         keep = [u for u in range(V1) if u != s]
-        ext = [ext1[u] for u in keep] + [0] * len(inner)
-        loops = [loops1[u] for u in keep] + [loops2[w] for w in inner]
-        mult = [[mult1[u][x] for x in keep] + [0] * len(inner) for u in keep]
-        mult += [[0] * len(keep) + [mult2[w][y] for y in inner] for w in inner]
+        ext = [h.ext[u] for u in keep] + [0] * len(inner)
+        loops = [h.loops[u] for u in keep] + [g.loops[w] for w in inner]
+        mult = _block_sum(
+            [[h.mult[u][x] for x in keep] for u in keep],
+            [[g.mult[w][y] for y in inner] for w in inner],
+        )
         # the far end of each site half-edge on a non-loop edge; the loops'
         # half-edges follow them in pairs
-        ends = [i for i, u in enumerate(keep) for _ in range(mult1[s][u])]
+        ends = [i for i, u in enumerate(keep) for _ in range(h.mult[s][u])]
         n = len(ends)
         grafts: Counter = Counter()
         for t, m in arrangements.items():
@@ -127,21 +175,32 @@ def _insertion_basis(k1: Key, k2: Key) -> GraphPoly:
                 else:
                     g_mult[a][b] += 1
                     g_mult[b][a] += 1
-            out[_class_of(V, ext, g_loops, g_mult, n_empty)[3]] += m
-    return GraphPoly({key: Fraction(m) for key, m in out.items()})
+            out[_class_of(V, ext, g_loops, g_mult, n_empty)[2]] += m
+    return tuple(out.items())
 
 
 def insertion_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
     """Bilinear extension of the insertion sum.  Valency mismatches give zero,
-    and so does a g2 with an edge between two external vertices."""
-    return linear_combination(
-        (
-            (_insertion_basis(k1, k2), c1 * c2)
-            for k1, c1 in a._terms.items()
-            for k2, c2 in b._terms.items()
-        ),
-        GraphPoly(),
-    )
+    and so does a g2 with an edge between two external vertices.
+
+    A pair of terms that cannot graft is skipped before the pair memo, so the
+    memo keeps only pairs that graft.  The graft counts are summed in one
+    dict, each times the pair's coefficient product, an int when integral."""
+    guests = [(k2, c2, _graft_data(k2).legs) for k2, c2 in b._terms.items()]
+    out: dict = {}
+    get = out.get
+    for k1, c1 in a._terms.items():
+        host = _graft_data(k1)
+        for k2, c2, legs in guests:
+            if not _fits(host, legs):
+                continue
+            c = c1 * c2
+            if c.denominator == 1:
+                c = c.numerator
+            for key, m in _insertion_basis(k1, k2):
+                y = get(key)
+                out[key] = c * m if y is None else y + c * m
+    return GraphPoly._from_normal({key: Fraction(x) for key, x in out.items() if x})
 
 
 def associator(a: GraphPoly, b: GraphPoly, c: GraphPoly) -> GraphPoly:

@@ -13,7 +13,10 @@ import pytest
 from ckhopf import graphs
 from ckhopf.corpus import connected_corpus
 from ckhopf.graphs import (
+    HalfEdgeGraph,
+    _minimal_code,
     _multigraph,
+    _rebuild_canonical,
     _refine_classes,
     automorphism_count,
     canonical_form,
@@ -21,6 +24,7 @@ from ckhopf.graphs import (
     dot_graph,
     enumerate_graphs,
     graph,
+    graph_from_key,
     monomial_key,
     relabel,
 )
@@ -222,3 +226,20 @@ def test_results_do_not_depend_on_which_labelling_ran_first():
     assert copy_first[0::2] == class_first[1::2]
     assert copy_first[1::2] == class_first[0::2]
     assert copy_first[0::2] == copy_first[1::2]
+
+
+def test_canonical_graph_is_the_graph_of_its_key():
+    # the code memo keeps no graph: canonical_form parses the key back, and
+    # that graph is the one the code rebuilds, on every class up to 5 edges
+    rng = random.Random(22)
+    pool = [g for n in range(6) for g in enumerate_graphs(n, "all")]
+    assert len(pool) == 1519
+    for g in pool:
+        copy = _relabelled(g, rng)
+        key, canon = canonical_form(copy)
+        mg = _multigraph(copy)
+        code, _ = _minimal_code(*mg, _refine_classes(*mg))
+        assert canon == graph_from_key(canonical_key(g)) == _rebuild_canonical(code, g.n_empty), g
+        tail = graphs._code_tail(code, g.n_empty)
+        assert tail[0] == key
+        assert not any(isinstance(x, HalfEdgeGraph) for x in tail), tail

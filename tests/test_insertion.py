@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from ckhopf import graphs
+from ckhopf import graphs, insertion
 from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import NotInternalVertex, ValencyMismatch
 from ckhopf.graphs import (
@@ -116,18 +116,40 @@ def test_insert_graph_with_edge_between_legs():
         insert_at(dumbbell, site, {site[0]: freeprop.edges[0]}, freeprop)
 
 
-def test_pairs_with_no_graft_share_one_zero(loop1, twoleg):
+def test_pairs_with_no_graft_make_no_memo_entry(loop1, twoleg):
     key = lambda name: monomial_key(named_graph(name))
     # an edge between two legs of g2; no site of g2's valency in g1
-    legs_joined = _insertion_basis(key("dumbbell"), key("freeprop"))
-    no_site = _insertion_basis(key("loop1"), key("bubble"))
-    assert legs_joined is no_site
-    assert legs_joined == GraphPoly()
+    legs_joined = (key("dumbbell"), key("freeprop"))
+    no_site = (key("loop1"), key("bubble"))
+    _insertion_basis.cache_clear()
+    for k1, k2 in (legs_joined, no_site):
+        basis = [GraphPoly({k: Fraction(1)}) for k in (k1, k2)]
+        assert insertion_product(*basis).is_zero()
     freeprop = P(named_graph("freeprop"))
     assert insertion_product(P(named_graph("dumbbell")) + P(loop1), freeprop).is_zero()
     p = insertion_product(P(loop1), P(twoleg))
-    assert linear_combination([(no_site, 3), (p, 2), (no_site, -1)], GraphPoly()) == p.scale(2)
-    assert no_site.is_zero() and no_site == GraphPoly()
+    assert insertion_product(P(loop1), P(twoleg).scale(2) + P(named_graph("bubble"))) == p.scale(2)
+    # only (loop1, twoleg) grafts, so it alone enters the pair memo
+    assert _insertion_basis.cache_info().currsize == 1
+    # called directly, a pair without a graft is the empty sum
+    assert _insertion_basis(*legs_joined) == () == _insertion_basis(*no_site)
+
+
+def test_disconnected_host_builds_no_disjoint_union(monkeypatch, loop1, twoleg, bubble):
+    host = P(disjoint_union(loop1, disjoint_union(twoleg, EMPTY_VERTEX)))
+    assert len(next(iter(host._terms))) == 3
+    guests = [P(g) for g in (twoleg, dot_graph(2), loop1, bubble)]
+    want = [insertion_product(host, g) for g in guests]
+    calls = []
+    union = graphs.disjoint_union
+    monkeypatch.setattr(graphs, "disjoint_union", lambda g1, g2: calls.append(1) or union(g1, g2))
+    insertion._graft_data.cache_clear()
+    _insertion_basis.cache_clear()
+    for _ in range(3):
+        assert [insertion_product(host, g) for g in guests] == want
+    # the host's vertex multigraph is built part by part, once per key
+    assert not calls
+    assert insertion._graft_data.cache_info().misses == 1 + len(guests)
 
 
 def _checked_insertion_sum(g1, g2):
@@ -196,7 +218,9 @@ def _graft_cases():
 
 
 def _basis(g1, g2):
-    return _insertion_basis(monomial_key(g1), monomial_key(g2))
+    pairs = _insertion_basis(monomial_key(g1), monomial_key(g2))
+    assert all(type(m) is int and m > 0 for _, m in pairs)
+    return GraphPoly({key: Fraction(m) for key, m in pairs})
 
 
 def test_unchecked_grafts_match_the_checked_insertion_sum():
@@ -255,3 +279,26 @@ def test_insertion_basis_leaves_the_canonical_memo_alone():
         rng.shuffle(labels)
         monomial_key(relabel(g, dict(zip(g.half_edges, labels))))
     assert products() == cold
+
+
+def test_integer_sums_match_the_bilinear_checked_sum(twoleg, loop1):
+    # (dot_2, twoleg) gives 1/2 * 5 * 2 twoleg and (twoleg, dot_2) gives
+    # 5 * -1/4 * 4 twoleg: they cancel.  The host with three parts receives
+    # the 2-leg guests at three sites and loop1 at its empty vertex.
+    dot2 = dot_graph(2)
+    host = disjoint_union(loop1, disjoint_union(twoleg, EMPTY_VERTEX))
+    a = [(dot2, Fraction(1, 2)), (twoleg, Fraction(5)), (host, Fraction(-3, 4))]
+    b = [(twoleg, Fraction(5)), (dot2, Fraction(-1, 4)), (loop1, Fraction(1, 2))]
+    pa = linear_combination(((P(g), c) for g, c in a), GraphPoly())
+    pb = linear_combination(((P(g), c) for g, c in b), GraphPoly())
+    got = insertion_product(pa, pb)
+    want = linear_combination(
+        ((_checked_insertion_sum(g1, g2), c1 * c2) for g1, c1 in a for g2, c2 in b), GraphPoly()
+    )
+    assert got == want
+    assert insertion_product(P(dot2), P(twoleg)).coeff(twoleg) == 2
+    assert got.coeff_key(monomial_key(twoleg)) == 0 and monomial_key(twoleg) not in got._terms
+    # loop1 grafted at the host's empty vertex uses it up
+    assert got.coeff(disjoint_union(loop1, disjoint_union(loop1, twoleg))) != 0
+    assert all(type(c) is Fraction for _, c in got.terms())
+    assert any(c.denominator > 1 for _, c in got.terms())
