@@ -136,6 +136,12 @@ def z_word(c: ChordDiagram) -> tuple[int, ...]:
     return tuple(chord_of[pos] + 1 for pos in range(1, 2 * c.size + 1))
 
 
+@lru_cache(maxsize=None)
+def z_words(n_chords: int) -> tuple[tuple[int, ...], ...]:
+    """The z-word of each diagram of ``enumerate_chords(n_chords)``, in its order."""
+    return tuple(map(z_word, enumerate_chords(n_chords)))
+
+
 def z_coinv(c: ChordDiagram, n: int) -> RawTensor:
     """The coinvariant: the single word ``z_word(c)``, with coefficient 1."""
     N = c.size

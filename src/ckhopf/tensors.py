@@ -31,10 +31,13 @@ invariant lift against the coinvariants z_c.  The lift of a term averages its
 words over the group that reorders each block, the blocks of equal size and
 the external monomial, so its value on one word is the coefficient of the
 word's term over the size of that term's orbit.  ``psi`` reads this closed
-form at the single word of each z_c and never builds the lift: one lookup per
-chord diagram, and one canonical form per block multigraph, since diagrams
-whose chords join the same blocks give isomorphic graphs and terms of equal
-orbit size.
+form and never builds the lift.  It pairs the tensor with one coinvariant
+table per block shape, built once per process: the terms that the single
+words of the z_c cut to, over the indices 1..N only, each with the number of
+diagrams that give it.  A call costs one lookup per table term, and each
+block multigraph (the pairs of blocks that a term's indices join, which fix
+its graph and its orbit size) one canonical form the first time any tensor
+reaches it.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from .chords import (
     chord_from_graph,
     enumerate_chords,
     graph_from_chord,
-    z_word,
+    z_words,
 )
 from .errors import (
     DimensionMismatch,
@@ -64,8 +67,8 @@ from .errors import (
     NotInLPlus,
     ShapeMismatch,
 )
-from .graphs import HalfEdgeGraph, _is_index
-from .poly import GraphPoly, Scalar, SparseVector, _summed, linear_combination, sym
+from .graphs import HalfEdgeGraph, _is_index, monomial_key
+from .poly import GraphPoly, Key, Scalar, SparseVector, _summed, linear_combination, sym
 
 Blocks = tuple[tuple[int, ...], ...]
 Mono = tuple[int, ...]
@@ -141,21 +144,35 @@ class InvariantTensor(SparseVector):
     def coeff(self, blocks: Iterable[Sequence[int]], external: Sequence[int]) -> Fraction:
         return self._terms.get(_norm_term(blocks, external), Fraction(0))
 
+    def _shapes(self) -> set[tuple[tuple[int, ...], int]]:
+        """The distinct (block sizes, external degree) pairs of the terms, with
+        the block sizes in the order of the stored blocks."""
+        return {(tuple(map(len, blocks)), len(ext)) for blocks, ext in self._terms}
+
     def bigrades(self) -> set[tuple[int, int]]:
         """Set of (N, k) with 2N the total degree and k the external degree."""
-        out = set()
-        for (blocks, ext), _ in self._terms.items():
-            total = sum(len(b) for b in blocks) + len(ext)
-            if total % 2:
-                raise InhomogeneousInput("term of odd total degree cannot be invariant")
-            out.add((total // 2, len(ext)))
-        return out
+        return _bigrades(self._shapes())
 
     def bigrade(self) -> tuple[int, int]:
-        grades = self.bigrades()
-        if len(grades) != 1:
-            raise InhomogeneousInput(f"tensor is not homogeneous: bigrades {sorted(grades)}")
-        return grades.pop()
+        return _one_bigrade(self.bigrades())
+
+
+def _bigrades(shapes: Iterable[tuple[Sequence[int], int]]) -> set[tuple[int, int]]:
+    """The (N, k) of each (block sizes, k) in ``shapes``; InhomogeneousInput
+    if any total degree is odd."""
+    out = set()
+    for sizes, k in shapes:
+        total = sum(sizes) + k
+        if total % 2:
+            raise InhomogeneousInput("term of odd total degree cannot be invariant")
+        out.add((total // 2, k))
+    return out
+
+
+def _one_bigrade(grades: set[tuple[int, int]]) -> tuple[int, int]:
+    if len(grades) != 1:
+        raise InhomogeneousInput(f"tensor is not homogeneous: bigrades {sorted(grades)}")
+    return next(iter(grades))
 
 
 def _cut(word: Sequence[int], cuts: Sequence[int]) -> Term:
@@ -385,6 +402,64 @@ def _orbit_size(term: Term) -> int:
     return size
 
 
+def _joins(term: Term) -> tuple[tuple[int, int], ...]:
+    """The block multigraph of a term whose indices each occur twice: the
+    sorted pairs of blocks that hold the two occurrences of an index, with the
+    blocks numbered in their stored order and the external monomial last."""
+    blocks, ext = term
+    where: dict[int, list[int]] = {}
+    for b, mono in enumerate((*blocks, ext)):
+        for x in mono:
+            where.setdefault(x, []).append(b)
+    return tuple(sorted(map(tuple, where.values())))
+
+
+class _ShapeTable(dict):
+    """Each term that a coinvariant word of one block shape cuts to, mapped to
+    [the number of chord diagrams whose word cuts to it, one of them, its
+    (monomial key, orbit size) or None].  The last is filled in when a tensor
+    first holds the term: terms with one block multigraph give isomorphic
+    graphs and have one orbit size, so they share one pair, and a block
+    multigraph costs one canonical form in the process."""
+
+    __slots__ = ("shape", "groups")
+
+    def __init__(self, shape: BlockShape):
+        super().__init__()
+        self.shape = shape
+        self.groups: dict[tuple, tuple[Key, int]] = {}
+
+    def group(self, term: Term, entry: list) -> tuple[Key, int]:
+        """Fill in and return the pair of ``term``, whose entry is ``entry``."""
+        multigraph = _joins(term)
+        group = self.groups.get(multigraph)
+        if group is None:
+            graph = graph_from_chord(self.shape, entry[1])
+            group = self.groups[multigraph] = (monomial_key(graph), _orbit_size(term))
+        entry[2] = group
+        return group
+
+
+@lru_cache(maxsize=None)
+def _psi_table(shape: BlockShape) -> _ShapeTable:
+    """The coinvariant table of a block shape on 2N positions: its terms are
+    over the indices 1..N, so it serves every dimension n >= N."""
+    cuts = list(accumulate(shape.internal, initial=0))
+    blocks = [slice(a, b) for a, b in pairwise(cuts)]
+    external = slice(cuts[-1], None)
+    table = _ShapeTable(shape)
+    N = shape.total // 2
+    for c, word in zip(enumerate_chords(N), z_words(N)):
+        internal = tuple(sorted([tuple(sorted(word[b])) for b in blocks]))
+        term = internal, tuple(sorted(word[external]))
+        entry = table.get(term)
+        if entry:
+            entry[0] += 1
+        else:
+            table[term] = [1, c, None]
+    return table
+
+
 def psi(t: InvariantTensor) -> GraphPoly:
     """Evaluate the invariant lift of ``t`` against the coinvariants z_c.
 
@@ -393,38 +468,32 @@ def psi(t: InvariantTensor) -> GraphPoly:
     its value on that word is the term's coefficient in ``t`` divided by the
     term's orbit size; that value weights the graph of c on the shape.
 
-    The graph and the orbit size depend only on the block multigraph of c:
-    the sorted pairs of blocks its chords join, with the external positions
-    as one block.  So the coefficients are summed per block multigraph, and
-    each group costs one canonical form and one division.
+    ``_psi_table`` holds, once per block shape and process, the terms the
+    words cut to and how many diagrams give each.  A term's block multigraph,
+    the pairs of blocks its indices join, fixes the graph up to isomorphism
+    and the orbit size, so the coefficients are summed per block multigraph:
+    one division each, and one canonical form the first time any tensor
+    reaches it.
 
     Requires a homogeneous tensor; a tensor of bigrade (N, k) over dimension
     n with N > n maps to zero.  On images of ``phi`` this inverts it exactly.
     """
-    n = t.dim
     if t.is_zero():
         return GraphPoly.zero()
-    N, k = t.bigrade()
-    if N > n:
+    shapes = t._shapes()
+    N, k = _one_bigrade(_bigrades(shapes))
+    if N > t.dim:
         return GraphPoly.zero()
-
-    words = [(c, z_word(c)) for c in enumerate_chords(N)]
-    summands = []
-    for sizes in sorted({tuple(sorted(map(len, blocks))) for blocks, _ in t._terms}):
-        shape = BlockShape(sizes, k)
-        cuts = list(accumulate(sizes, initial=0))
-        # the block of each position; the external positions share one label
-        block_of = [b for b, size in enumerate((*sizes, k)) for _ in range(size)]
-        firsts: dict[tuple, tuple] = {}
-        sums: dict[tuple, Fraction] = {}
-        for c, word in words:
-            term = _norm_term(*_cut(word, cuts))
-            coeff = t._terms.get(term)
+    get = t._terms.get
+    sums: dict[tuple[Key, int], Scalar] = {}
+    for sizes in sorted({tuple(sorted(sizes)) for sizes, _ in shapes}):
+        table = _psi_table(BlockShape(sizes, k))
+        for term, entry in table.items():
+            coeff = get(term)
             if coeff:
-                multigraph = tuple(sorted((block_of[i - 1], block_of[j - 1]) for i, j in c.pairs))
-                firsts.setdefault(multigraph, (c, term))
-                sums[multigraph] = sums.get(multigraph, 0) + coeff
-        for multigraph, (c, term) in firsts.items():
-            graph = GraphPoly.from_graph(graph_from_chord(shape, c))
-            summands.append((graph, sums[multigraph] / _orbit_size(term)))
-    return linear_combination(summands, GraphPoly())
+                group = entry[2] or table.group(term, entry)
+                sums[group] = sums.get(group, 0) + coeff * entry[0]
+    out: dict[Key, Fraction] = {}
+    for (key, orbit), total in sums.items():
+        out[key] = out.get(key, 0) + Fraction(total, orbit)
+    return GraphPoly(out)

@@ -14,12 +14,13 @@ import random
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
 
 from ckhopf import hopf, insertion, poly, tensors, verify
-from ckhopf.chords import enumerate_chords
+from ckhopf.chords import BlockShape, enumerate_chords, z_coinv
 from ckhopf.cli import main
 from ckhopf.corpus import NAMED_BUILDERS, connected_corpus, named_graph
 from ckhopf.errors import CKHopfError
@@ -40,9 +41,11 @@ from ckhopf.serialize import dumps, invariant_to_doc, poly_to_doc
 from ckhopf.verify import run_suite
 from ckhopf.tensors import (
     InvariantTensor,
+    _cut,
     apply_signed_permutation,
     phi,
     project_to,
+    psi,
     tensor_delta,
     tensor_mul,
     tensor_prelie,
@@ -127,6 +130,13 @@ TENSOR_TABLE_SHA256 = "b70410b474cc6ed6042021789ca5ca7ef48cae34c168a086903f51db5
 # at n = 1..5, captured while phi still block-symmetrized beta's words: the
 # repr also pins every coefficient as a Fraction.
 PHI_TABLE_SHA256 = "ef84ccc19f5db385449e21bc5337baf8db8a34f6c625d615627781e86234e358"
+
+# sha256 of psi(t).terms() (or the error it raises), one line per tensor with
+# the tensor's own terms, over ``_psi_cases``: seeded homogeneous tensors that
+# are not phi images, seeded random tensors (odd, inhomogeneous or zero among
+# them) and phi images, captured while psi still cut every coinvariant word on
+# every call.
+PSI_TABLE_SHA256 = "2675c9f4587549e458e5abd8d67430ce9ce91db09c37f800b34b98ff5d86e889"
 
 # sha256 of the JSON document of every graph, in the order listed, from
 # enumerate_graphs (n <= 5, each filter), enumerate_by_grade (each grade with
@@ -379,6 +389,68 @@ def _phi_cases() -> tuple[tuple, ...]:
                 rng.shuffle(perm)
                 cases.append((g, relabel(g, dict(enumerate(perm)))))
     return tuple(cases)
+
+
+def _partitions(total: int, least: int = 1):
+    """Nondecreasing tuples of positive parts summing to ``total``."""
+    if total == 0:
+        yield ()
+    for part in range(least, total + 1):
+        for rest in _partitions(total - part, part):
+            yield (part, *rest)
+
+
+def _block_shapes(N: int):
+    """Every block shape on 2N positions with sorted internal sizes, as psi reads them."""
+    for k in range(2 * N + 1):
+        for sizes in _partitions(2 * N - k):
+            yield BlockShape(sizes, k)
+
+
+def _cut_z_tensor(rng: random.Random) -> InvariantTensor:
+    """A random tensor of one bigrade, not invariant: each term is a coinvariant
+    word under a random relabelling of its indices, cut along a random shape."""
+    N = rng.randint(1, 4)
+    n = rng.randint(N, N + 1)
+    k = rng.randint(0, 2 * N)
+    shapes = [shape for shape in _block_shapes(N) if shape.external == k]
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        shape = rng.choice(shapes)
+        ((word, _),) = z_coinv(rng.choice(enumerate_chords(N)), n).terms()
+        if rng.random() < 0.8:
+            index_map = rng.sample(range(1, n + 1), n)  # a permutation of the indices
+        else:
+            index_map = [rng.randint(1, n) for _ in range(n)]  # any map of them
+        word = [index_map[x - 1] for x in word]
+        cuts = list(accumulate(shape.internal, initial=0))
+        terms.append((_cut(word, cuts), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+    return InvariantTensor(n, terms)
+
+
+@lru_cache(maxsize=None)
+def _psi_cases() -> tuple[InvariantTensor, ...]:
+    rng = random.Random(23)
+    cases = [_cut_z_tensor(rng) for _ in range(200)]
+    cases += [_random_tensor(rng, dim) for dim in range(5) for _ in range(12)]
+    cases += [phi(h, n) for _, h in _phi_cases()[::6] for n in (2, 3, 4)]
+    return tuple(cases)
+
+
+def _psi_line(t: InvariantTensor) -> str:
+    try:
+        out = repr(list(psi(t).terms()))
+    except CKHopfError as exc:
+        out = f"{type(exc).__name__}: {exc}"
+    return f"{t.dim} {list(t.terms())!r} {out}"
+
+
+def _psi_digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest()
+
+
+def test_psi_table_digest():
+    assert _psi_digest(list(map(_psi_line, _psi_cases()))) == PSI_TABLE_SHA256
 
 
 def test_phi_table_digest():

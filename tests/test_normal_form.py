@@ -24,7 +24,7 @@ from ckhopf.graphs import (
 )
 from ckhopf.insertion import insert_at
 from test_canonical import _relabelled
-from test_tensors import _block_shapes
+from test_golden import _block_shapes
 
 # sha256 of the lines of ``_builder_lines``, one builder output per line.
 FIELD_PIN_SHA256 = "f63e2edc404d96589512e7989f8ea7062eab2f788e2d1900c8cf045c4b3d0975"

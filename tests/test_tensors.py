@@ -1,7 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, permutations, product as iproduct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,10 +10,12 @@ from ckhopf import chords, tensors as tensors_module
 from ckhopf.chords import (
     BlockShape,
     ChordDiagram,
+    RawTensor,
     beta,
     chord_from_graph,
     enumerate_chords,
     graph_from_chord,
+    pair_raw,
     z_coinv,
 )
 from ckhopf.cli import main
@@ -55,7 +57,18 @@ from ckhopf.tensors import (
     tensor_prelie,
 )
 from test_canonical import _relabelled
-from test_golden import PHI_TABLE_SHA256, _in_l_plus, _phi_cases, _random_tensor
+from test_golden import (
+    PHI_TABLE_SHA256,
+    PSI_TABLE_SHA256,
+    _block_shapes,
+    _cut_z_tensor,
+    _in_l_plus,
+    _phi_cases,
+    _psi_cases,
+    _psi_digest,
+    _psi_line,
+    _random_tensor,
+)
 
 
 def P(g):
@@ -67,8 +80,6 @@ def P(g):
 
 
 def test_block_symmetrize_merges_words():
-    from ckhopf.chords import RawTensor
-
     f = RawTensor(2, 2, {(1, 2): Fraction(1), (2, 1): Fraction(1)})
     t = block_symmetrize(f, BlockShape((2,), 0))
     assert t.coeff([(1, 2)], []) == 2
@@ -442,49 +453,12 @@ def _psi_per_diagram(t: InvariantTensor) -> GraphPoly:
     return linear_combination(summands, GraphPoly())
 
 
-def _partitions(total: int, least: int = 1):
-    """Nondecreasing tuples of positive parts summing to ``total``."""
-    if total == 0:
-        yield ()
-    for part in range(least, total + 1):
-        for rest in _partitions(total - part, part):
-            yield (part, *rest)
-
-
-def _block_shapes(N: int):
-    """Every block shape on 2N positions with sorted internal sizes, as psi reads them."""
-    for k in range(2 * N + 1):
-        for sizes in _partitions(2 * N - k):
-            yield BlockShape(sizes, k)
-
-
 def test_psi_equals_the_per_diagram_reference_on_phi_images():
     graphs = connected_corpus(4, plus=False)
     assert len(graphs) == 96
     for g in graphs:
         t = phi(g, len(g.edges))
         assert psi(t) == _psi_per_diagram(t) == P(g), g
-
-
-def _cut_z_tensor(rng: random.Random) -> InvariantTensor:
-    """A random tensor of one bigrade, not invariant: each term is a coinvariant
-    word under a random relabelling of its indices, cut along a random shape."""
-    N = rng.randint(1, 4)
-    n = rng.randint(N, N + 1)
-    k = rng.randint(0, 2 * N)
-    shapes = [shape for shape in _block_shapes(N) if shape.external == k]
-    terms = []
-    for _ in range(rng.randint(1, 6)):
-        shape = rng.choice(shapes)
-        ((word, _),) = z_coinv(rng.choice(enumerate_chords(N)), n).terms()
-        if rng.random() < 0.8:
-            index_map = rng.sample(range(1, n + 1), n)  # a permutation of the indices
-        else:
-            index_map = [rng.randint(1, n) for _ in range(n)]  # any map of them
-        word = [index_map[x - 1] for x in word]
-        cuts = list(accumulate(shape.internal, initial=0))
-        terms.append((_cut(word, cuts), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
-    return InvariantTensor(n, terms)
 
 
 def test_psi_equals_the_per_diagram_reference_on_random_tensors():
@@ -514,6 +488,160 @@ def test_diagrams_with_one_block_multigraph_share_a_graph_and_an_orbit_size():
                 groups.setdefault((shape, multigraph), set()).add((key, orbit))
     assert cases == 7525 and len(groups) == 1126
     assert all(len(found) == 1 for found in groups.values())
+
+
+# psi by its definition, with no coinvariant table: the invariant lift of the
+# terms of each block shape, written out word by word, paired with z_c for
+# every chord diagram c, each value weighting the graph of c on the shape.
+
+
+def _words_of(term) -> set:
+    """Every word that cuts to ``term``: the blocks in every order among those
+    of equal size (sizes ascending), each block and the external monomial in
+    every order."""
+    blocks, ext = term
+    sizes = sorted(set(map(len, blocks)))
+    orders = [set(permutations([b for b in blocks if len(b) == s])) for s in sizes]
+    words = set()
+    for order in iproduct(*orders):
+        slots = [*chain.from_iterable(order), ext]
+        for parts in iproduct(*(set(permutations(m)) for m in slots)):
+            words.add(tuple(chain.from_iterable(parts)))
+    return words
+
+
+def _psi_by_definition(t: InvariantTensor) -> GraphPoly:
+    grades = {(sum(map(len, blocks)) + len(ext), len(ext)) for (blocks, ext), _ in t.terms()}
+    if not grades:
+        return GraphPoly.zero()
+    ((degree, k),) = grades
+    N = degree // 2
+    if N > t.dim:
+        return GraphPoly.zero()
+    summands = []
+    for sizes in {tuple(sorted(map(len, blocks))) for (blocks, _), _ in t.terms()}:
+        lift: dict = {}
+        for (blocks, ext), coeff in t.terms():
+            if tuple(sorted(map(len, blocks))) == sizes:
+                words = _words_of((blocks, ext))
+                for word in words:
+                    lift[word] = lift.get(word, 0) + Fraction(coeff) / len(words)
+        lift = RawTensor(t.dim, 2 * N, lift)
+        shape = BlockShape(sizes, k)
+        for c in enumerate_chords(N):
+            value = pair_raw(z_coinv(c, t.dim), lift)
+            summands.append((GraphPoly.from_graph(graph_from_chord(shape, c)), value))
+    return linear_combination(summands, GraphPoly())
+
+
+def test_psi_equals_its_definition():
+    rng = random.Random(23)
+    cases = [_cut_z_tensor(rng) for _ in range(150)]
+    graphs = [g for edges in range(4) for g in enumerate_graphs(edges, "all") if not g.n_empty]
+    assert len(graphs) == 91
+    for g in graphs:
+        N = len(g.edges)
+        cases += [phi(g, n) for n in (N, N + 1) if n]
+    tensors_module._psi_table.cache_clear()
+    expected = [_psi_by_definition(t) for t in cases]
+    assert tensors_module._psi_table.cache_info().currsize == 0
+    seen = set()
+    for t, e in zip(cases, expected):
+        assert psi(t) == e, t
+        if t.is_zero():
+            continue
+        N, k = t.bigrade()
+        shapes = {tuple(sorted(map(len, blocks))) for blocks, _ in t._terms}
+        seen.add(("nonzero", not e.is_zero()))
+        seen.add(("k > 0", k > 0))
+        seen.add(("n > N", t.dim > N))
+        seen.add(("several shapes", len(shapes) > 1))
+    kinds = ("nonzero", "k > 0", "n > N", "several shapes")
+    assert seen == {(kind, b) for kind in kinds for b in (False, True)}
+    assert sum(not e.is_zero() for e in expected) >= 120
+
+
+def test_psi_is_exact_on_integer_coefficients():
+    # x1 x1 x2 | x2: chords (12)(34) and (13)(24) give a loop on a trivalent
+    # vertex with one leg, over the 3!/2! = 3 orderings of the block
+    t = InvariantTensor(2, {(((1, 1, 2),), (2,)): 1})
+    (coeff,) = (c for _, c in psi(t).terms())
+    assert type(coeff) is Fraction and coeff == Fraction(2, 3)
+    assert psi(t) == _psi_by_definition(t)
+
+
+def test_psi_tables_hold_each_diagram_once_over_the_indices_1_to_N():
+    for N in range(5):
+        for shape in _block_shapes(N):
+            table = tensors_module._psi_table(shape)
+            assert sum(entry[0] for entry in table.values()) == len(enumerate_chords(N))
+            for blocks, ext in table:
+                indices = sorted(chain(ext, *blocks))
+                assert indices == sorted(2 * list(range(1, N + 1)))
+                assert tuple(sorted(map(len, blocks))) == shape.internal
+                assert len(ext) == shape.external
+
+
+def test_psi_does_not_depend_on_the_shape_tables_being_warm():
+    cases = _psi_cases()
+    tensors_module._psi_table.cache_clear()
+    chords.z_words.cache_clear()
+    cold = list(map(_psi_line, cases))
+    warm = list(map(_psi_line, cases))
+    tensors_module._psi_table.cache_clear()
+    reversed_order = list(map(_psi_line, reversed(cases)))[::-1]
+    assert cold == warm == reversed_order
+    assert _psi_digest(cold) == PSI_TABLE_SHA256
+
+
+# InhomogeneousInput texts as psi, bigrade() and tensor_prelie raised them
+# while psi and bigrade() each scanned the terms on their own.
+ODD = "term of odd total degree cannot be invariant"
+
+
+def test_grade_errors_are_shared_by_psi_bigrade_and_prelie():
+    odd = InvariantTensor(3, {(((1, 2, 3),), ()): Fraction(1)})
+    # an odd term beside even terms of other bigrades: the odd degree is named
+    odd_mixed = odd + phi(named_graph("bubble"), 3) + phi(named_graph("twoleg"), 3)
+    in_l_plus = phi(named_graph("loop1"), 3)
+    cases = [
+        (
+            phi(named_graph("loop1"), 2) + phi(named_graph("bubble"), 2),
+            "tensor is not homogeneous: bigrades [(1, 0), (2, 0)]",
+        ),
+        (
+            InvariantTensor(
+                3,
+                {
+                    (((1, 1),), ()): Fraction(2),
+                    (((1, 2, 3),), (2,)): Fraction(-1, 3),
+                    (((1,),), (1, 2, 3)): Fraction(1),
+                },
+            ),
+            "tensor is not homogeneous: bigrades [(1, 0), (2, 1), (2, 3)]",
+        ),
+        (odd, ODD),
+        (odd_mixed, ODD),
+    ]
+    for t, text in cases:
+        for evaluate in (psi, InvariantTensor.bigrade):
+            with pytest.raises(InhomogeneousInput) as caught:
+                evaluate(t)
+            assert str(caught.value) == text
+    for t in (odd, odd_mixed):
+        for args in ((t, in_l_plus), (in_l_plus, t)):
+            with pytest.raises(InhomogeneousInput) as caught:
+                tensor_prelie(*args)
+            assert str(caught.value) == ODD
+    with pytest.raises(InhomogeneousInput) as caught:
+        InvariantTensor(2).bigrade()
+    assert str(caught.value) == "tensor is not homogeneous: bigrades []"
+    assert InvariantTensor(2).bigrades() == set()
+    assert psi(InvariantTensor(2)).is_zero()
+    assert psi(InvariantTensor(0)).is_zero()
+    # N > n: three chords over dimension 2, invariant or not
+    assert psi(phi(named_graph("theta"), 2)).is_zero()
+    assert psi(InvariantTensor(2, {(((1, 1, 2),), (2, 1, 1)): Fraction(5)})).is_zero()
 
 
 _WINDOW = [g for g in default_corpus(4) if not g.n_empty]
