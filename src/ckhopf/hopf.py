@@ -7,10 +7,14 @@ gamma ranges over the nonempty proper subsets of the internal edges;
 ``full_subgraph_term`` adds the full set, a variant kept only for diagnostics.
 
 The star product is the dual of the coproduct under the pairing weighted by
-automorphism counts: |Aut G| <a * b, G> = sum over coproduct terms of
-|Aut| -weighted matches of a against the subgraph leg and b against the
-quotient leg.  Its candidates G, and their coefficients, are counted from the
-coproducts of connected graphs, as the coproduct is multiplicative.
+automorphism counts: |Aut G| <a * b, G> = |Aut a| |Aut b| times the
+coefficient of a (x) b in the coproduct of G, a paired against the subgraph
+leg and b against the quotient leg.  It is built without the coproduct, as
+the product of the enveloping algebra of the insertion pre-Lie algebra
+(Guin-Oudom): a * b = a u b + b o a for a connected graph a with internal
+edges, extended to monomials by recursion on the parts of a.  A part without
+internal edges is never a leg of a proper coproduct term, so it only
+multiplies.  The verify harness checks the result against the coproduct.
 """
 
 from __future__ import annotations
@@ -19,14 +23,11 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import factorial, prod
 
 from .errors import InvalidInput
 from .graphs import (
     EMPTY_VERTEX,
-    automorphism_count,
     canonical_key,
-    connected_by_grade,
     contract_subgraph,
     extract_subgraph,
     monomial_key,
@@ -43,7 +44,6 @@ from .poly import (
     graph_from_key,
     linear_combination,
     product,
-    sym,
 )
 from . import insertion
 
@@ -136,70 +136,45 @@ def pairing(p: GraphPoly, q: GraphPoly) -> Fraction:
 # Star product
 
 
-@lru_cache(maxsize=None)
-def _aut_key(key: Key) -> int:
-    """|Aut C|^m * m! over the parts C of multiplicity m of a monomial; an
-    empty vertex has no half-edges to permute, so it gets no m!."""
-    count = 1
-    for part, m in Counter(key).items():
-        g = graph_from_key(part)
-        count *= automorphism_count(g) ** m * (factorial(m) if g.edges else 1)
-    return count
+def _inert(part: bytes) -> bool:
+    """A part without internal edges: a dot graph or the free propagator.  It
+    is never a leg of a proper coproduct term, so it is neither grafted nor
+    grafted into."""
+    return grade_of((part,)).m == 0
 
 
-@lru_cache(maxsize=None)
-def _cofactors(m: int, k: int, size: int, legs: int) -> dict[tuple[Key, Key], list]:
-    """(subgraph key, quotient key) -> [(G, multiplicity)] over the proper
-    subgraphs with ``size`` internal edges and ``legs`` dangling half-edges of
-    the connected classes G of grade (m + k, m, k).  Every part of such a
-    subgraph has a leg, so ``legs == 0`` has none; counting legs prunes early."""
-    index: dict[tuple[Key, Key], list] = {}
-    if legs == 0 or not 0 < size < m:
-        return index
-    for g in connected_by_grade(m, k):
-        vert_of = g.vertex_of()
-        counts: Counter = Counter()
-        for gamma in itertools.combinations(g.internal_edges(), size):
-            touched = {vert_of[h] for e in gamma for h in e}
-            if sum(len(g.vertices[vi]) for vi in touched) - 2 * size == legs:
-                extracted, quotient = extract_subgraph(g, gamma), contract_subgraph(g, gamma)
-                counts[monomial_key(extracted), monomial_key(quotient)] += 1
-        for pair, mult in counts.items():
-            index.setdefault(pair, []).append((canonical_key(g), mult))
-    return index
+def _grafted(p: GraphPoly, a: bytes) -> GraphPoly:
+    """p <- a: the connected part a grafted into one vertex of one part of p
+    that has an internal edge; the inert parts of p ride along untouched."""
+    guest = GraphPoly({(a,): Fraction(1)})
+    summands = []
+    for key, c in p._terms.items():
+        inert = tuple(q for q in key if _inert(q))
+        host = tuple(q for q in key if not _inert(q))
+        grafts = insertion.insertion_product(GraphPoly({host: Fraction(1)}), guest)
+        summands.append((product(GraphPoly({inert: Fraction(1)}), grafts), c))
+    return linear_combination(summands, GraphPoly())
 
 
 @lru_cache(maxsize=None)
 def _star_basis(ka: Key, kb: Key) -> GraphPoly:
-    """Star product of two basis monomials, read off the coproduct.
+    """Star product of two basis monomials, by recursion on the parts of ka.
 
-    A term ka (x) kb of the coproduct of a monomial G is a product of one term
-    per part of G, and the quotient of a connected graph is connected.  So G
-    is some parts of ka taken whole times, for each part b of kb, one
-    connected G_b: b itself when no part of ka is sent to b, else a graph with
-    gamma (x) b a proper term of its coproduct, gamma being the parts sent.
-
-    Let ways(G) sum, over the assignments of parts and picks of G_b that build
-    G, the product over b of the multiplicity of gamma (x) b in G_b times
-    Sym(gamma).  Counting in two ways the pairs (a term of the coproduct of
-    each part of G, a type-preserving matching of the left parts to ka and of
-    the right parts to kb), the coefficient of ka (x) kb in the coproduct of G
-    is ways(G) Sym(G) / (Sym(ka) Sym(kb)).
+    With a the first part of ka and A the others: an inert a only multiplies,
+    (a A) * kb = a (A * kb).  Otherwise a * y = a y + y <- a, so
+    (a A) * kb = a * (A * kb) - (A <- a) * kb, and A <- a has one part fewer
+    than ka.
     """
-    ways: Counter = Counter()
-    for assign in itertools.product(range(len(kb) + 1), repeat=len(ka)):
-        sent = [tuple(p for p, j in zip(ka, assign) if j == i) for i in range(len(kb) + 1)]
-        choices = []
-        for gamma, b in zip(sent, kb):
-            gr, grb = grade_of(gamma), grade_of((b,))
-            index = _cofactors(gr.m + grb.m, grb.k, gr.m, gr.k)
-            choices.append(index.get((gamma, (b,)), []) if gamma else [(b, 1)])
-        weight = prod(map(sym, sent[:-1]))
-        for picks in itertools.product(*choices):
-            cand = tuple(sorted(sent[-1] + tuple(g for g, _ in picks)))
-            ways[cand] += weight * prod(mult for _, mult in picks)
-    scale = Fraction(_aut_key(ka) * _aut_key(kb), sym(ka) * sym(kb))
-    return GraphPoly({g: scale * w * sym(g) / _aut_key(g) for g, w in ways.items()})
+    if not ka:
+        return GraphPoly({kb: Fraction(1)})
+    a, rest = ka[0], ka[1:]
+    tail = _star_basis(rest, kb)
+    lead = product(GraphPoly({(a,): Fraction(1)}), tail)
+    if _inert(a):
+        return lead
+    fewer = _grafted(GraphPoly({rest: Fraction(1)}), a)
+    correction = ((_star_basis(y, kb), -c) for y, c in fewer._terms.items())
+    return linear_combination([(lead, 1), (_grafted(tail, a), 1), *correction], GraphPoly())
 
 
 def star_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
@@ -228,7 +203,8 @@ def star_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
 def lie_bracket(a: GraphPoly, b: GraphPoly) -> GraphPoly:
     """[a, b] = a o b - b o a on connected graphs with internal edges.
 
-    The insertion route is used directly; the harness checks its agreement
-    with the star-product commutator.
+    The star product is built from the insertion product, so on connected
+    graphs its commutator a * b - b * a is [b, a] by construction; the
+    harness's commutator check is a regression check of that construction.
     """
     return insertion.insertion_product(a, b) - insertion.insertion_product(b, a)

@@ -284,6 +284,36 @@ def _check_star_commutator(pair):
     return _docs(*pair) if comm != hopf.lie_bracket(b, a) else None
 
 
+def _star_dual_cases(max_edges: int):
+    """(g1, g2, expected) for every ordered pair of nonempty classes with at
+    most ``max_edges`` edges in all.  The expected product is read off the
+    coproduct of every class G of the window:
+    |Aut G| [G](g1 * g2) = |Aut g1| |Aut g2| [g1 (x) g2] coproduct(G).
+    A G with g1 (x) g2 in its coproduct has the edges of g2 plus the internal
+    edges of g1, so it lies in the window."""
+    classes = [g for g in _all_classes(max_edges) if g.edges]
+    aut = {monomial_key(g): automorphism_count(g) for g in classes}
+    dual: dict = {}
+    for g in classes:
+        kg = monomial_key(g)
+        for (ka, kb), c in hopf.coproduct(GraphPoly({kg: Fraction(1)})).terms():
+            if ka and kb:
+                dual.setdefault((ka, kb), []).append((kg, c / aut[kg]))
+    for g1, g2 in itertools.product(classes, repeat=2):
+        if len(g1.edges) + len(g2.edges) <= max_edges:
+            ka, kb = monomial_key(g1), monomial_key(g2)
+            weight = aut[ka] * aut[kb]
+            yield g1, g2, GraphPoly((kg, weight * c) for kg, c in dual.get((ka, kb), ()))
+
+
+def _check_star_dual(case):
+    g1, g2, expected = case
+    star = hopf.star_product(GraphPoly.from_graph(g1), GraphPoly.from_graph(g2))
+    if star != expected:
+        return _docs(g1, g2, star=poly_to_doc(star), expected=poly_to_doc(expected))
+    return None
+
+
 def _suite_duality(r: VerificationReport, max_edges: int, **_):
     plus = connected_corpus(max_edges)
     pairs = [(g1, g2) for g1 in plus for g2 in plus]
@@ -293,6 +323,7 @@ def _suite_duality(r: VerificationReport, max_edges: int, **_):
     _run(r, "star-with-K-is-union", _star_k_pairs(max_edges), _check_star_with_k)
     _run(r, "star-leading-term", pairs, _check_leading_term)
     _run(r, "star-commutator-vs-bracket", pairs, _check_star_commutator)
+    _run(r, "star-dual-to-coproduct", _star_dual_cases(max_edges), _check_star_dual)
 
 
 # ---------------------------------------------------------------------------

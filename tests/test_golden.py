@@ -84,7 +84,7 @@ TEXT_CASES = {
 }
 
 VERIFY_GRADING_SHA256 = "ec5cda02de527676360ee9a0c83d6260a40981f78ed3bfb51930c6d706f0faa9"
-VERIFY_DUALITY_SHA256 = "f293d0e975e6ba0b7ea9a7fbe2afdd88c1f7df538409f1bda4ac3841f78c5f4b"
+VERIFY_DUALITY_SHA256 = "51f7b21a7e32c2187eec6a0c12bd98717b09e3bd3ebc78642858f3327a47b7e1"
 VERIFY_BIALGEBRA_SHA256 = "786cdf09710956f060fdb8e35fb3a350ad38ee16a74946a79289d859ff35eccc"
 
 # sha256 of ``verify --suite <s> --format json`` at the default window.
@@ -100,7 +100,7 @@ VERIFY_SUITE_SHA256 = {
 # sha256 of the JSON reports of every suite at the default window with the
 # faults of ``VERIFY_FAULTS`` injected, one line per suite.  Passing reports
 # carry no counterexample, so these pin the counterexample documents.
-VERIFY_FAULTS_SHA256 = "38a944f0ebdb871cd1c21a3fe267392ca47c24799084726ef035d1fdfdc731bc"
+VERIFY_FAULTS_SHA256 = "45b27f5c0d25f7dae54b36362b5e7d0f4b546f42f94641991d720c09dcbe2f86"
 
 # sha256 of ``verify --suite prelie --max-edges 4 --format json``, as it runs
 # and with the faults of ``VERIFY_FAULTS["prelie"]`` injected: the exhaustive

@@ -1,15 +1,16 @@
 import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from ckhopf import insertion, verify
+from ckhopf import hopf, insertion, verify
 from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus
 from ckhopf.errors import InvalidInput, ResourceBound
 from ckhopf.graphs import graph, to_json_dict
-from ckhopf.poly import GraphPoly
+from ckhopf.poly import GraphPoly, product
 from ckhopf.serialize import dumps
 from ckhopf.tensors import phi
 from ckhopf.verify import run_suite, suite_names
@@ -206,3 +207,44 @@ def test_rank_matches_fraction_elimination():
     assert deficient > 50
     assert verify._rank([]) == verify._rank([[]]) == verify._rank([[0, 0], [0, 0]]) == 0
     assert verify._rank([[0, 2], [0, 4], [1, 0]]) == 2
+
+
+def _faulty_star_basis(inert_hosts: bool, correction: bool):
+    """The recursion of ``hopf._star_basis`` with one fault: the parts without
+    internal edges taken as graft hosts, or the (A <- a) * kb term dropped."""
+
+    def grafted(p, a):
+        if not inert_hosts:
+            return hopf._grafted(p, a)
+        return insertion.insertion_product(p, GraphPoly({(a,): Fraction(1)}))
+
+    @lru_cache(maxsize=None)
+    def star(ka, kb):
+        if not ka:
+            return GraphPoly({kb: Fraction(1)})
+        a, rest = ka[0], ka[1:]
+        tail = star(rest, kb)
+        out = product(GraphPoly({(a,): Fraction(1)}), tail)
+        if hopf._inert(a):
+            return out
+        out += grafted(tail, a)
+        if correction:
+            for y, c in grafted(GraphPoly({rest: Fraction(1)}), a).terms():
+                out -= star(y, kb).scale(c)
+        return out
+
+    return star
+
+
+def test_star_dual_to_coproduct_catches_faulty_recursions(monkeypatch):
+    cases = list(verify._star_dual_cases(4))
+    assert len(cases) == 993
+    hopf._star_basis.cache_clear()
+    assert all(verify._check_star_dual(case) is None for case in cases)
+    for inert_hosts, correction in [(True, True), (False, False)]:
+        hopf._star_basis.cache_clear()
+        with monkeypatch.context() as m:
+            m.setattr(hopf, "_star_basis", _faulty_star_basis(inert_hosts, correction))
+            failures = [case for case in cases if verify._check_star_dual(case) is not None]
+        assert failures, (inert_hosts, correction)
+    hopf._star_basis.cache_clear()
