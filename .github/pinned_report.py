@@ -6,7 +6,7 @@ ceiling.
 
 For example:
 
-    python .github/pinned_report.py prelie-e5.json 140 7c7828ae... \\
+    python .github/pinned_report.py prelie-e5.json 109 7c7828ae... \\
         verify --suite prelie --max-edges 5 --format json
 """
 

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, pairwise, product as iproduct
 from typing import Iterable, Sequence
 
+from . import memo
 from .errors import (
     DimensionTooSmall,
     EmptyVertexUnsupported,
@@ -60,7 +60,7 @@ class ChordDiagram:
         return "Chord(" + ",".join(f"{i}{j}" if j < 10 else f"{i}-{j}" for i, j in self.pairs) + ")"
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def enumerate_chords(n_chords: int) -> tuple[ChordDiagram, ...]:
     """All chord diagrams on {1,..,2N}; there are (2N-1)!! of them."""
     if n_chords < 0:
@@ -136,7 +136,7 @@ def z_word(c: ChordDiagram) -> tuple[int, ...]:
     return tuple(chord_of[pos] + 1 for pos in range(1, 2 * c.size + 1))
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def z_words(n_chords: int) -> tuple[tuple[int, ...], ...]:
     """The z-word of each diagram of ``enumerate_chords(n_chords)``, in its order."""
     return tuple(map(z_word, enumerate_chords(n_chords)))

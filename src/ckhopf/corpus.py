@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from . import memo
 from .graphs import (
     HalfEdgeGraph,
     EMPTY_GRAPH,
@@ -68,7 +67,7 @@ NAMED_BUILDERS = {
 }
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.PROCESS)
 def named_graph(name: str) -> HalfEdgeGraph:
     try:
         return NAMED_BUILDERS[name]()
@@ -80,12 +79,12 @@ def named_graphs() -> dict[str, HalfEdgeGraph]:
     return {name: named_graph(name) for name in NAMED_BUILDERS}
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.PROCESS)
 def name_by_key() -> dict[bytes, str]:
     return {canonical_key(g): name for name, g in named_graphs().items()}
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.PROCESS)
 def default_corpus(max_edges: int = 3) -> tuple[HalfEdgeGraph, ...]:
     """Every isomorphism class with <= max_edges edges, plus the named graphs."""
     seen: dict[bytes, HalfEdgeGraph] = {}

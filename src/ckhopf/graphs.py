@@ -17,10 +17,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from math import factorial, prod
 from typing import Callable, Iterable, NamedTuple, Sequence
 
+from . import memo
 from .errors import (
     DanglingHalfEdge,
     EmptySubgraph,
@@ -258,9 +259,11 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 # vertices and of parallel edge bundles extends to a half-edge isomorphism.
 # The multigraph is ordered by color refinement, then, unless every color class
 # is a set of twins, by a search for the least code over orderings compatible
-# with the color classes, pruned by the automorphisms it finds.  The key and
-# the parts are read off that code, once per code, through the canonical
-# graph, which is not kept: ``canonical_form`` parses the key back with
+# with the color classes, pruned by the automorphisms it finds.  The least
+# code is packed flat, into bytes while every count fits in one, and keys
+# its memo.  The key and the parts
+# are read off that code, once per code, through the canonical graph, which
+# is not kept: ``canonical_form`` parses the key back with
 # ``graph_from_key``, which gives the same graph.
 #
 # ``_class_of`` does all of this for a multigraph given directly, and only
@@ -341,12 +344,13 @@ def _minimal_code(V, ext, loops, mult, classes):
     the number of orderings reaching it: the multigraph automorphism count.
 
     The code lists, per position, (ext flag, loops, multiplicities to earlier
-    positions); the class fixes the first two, so the search compares rows.  A
-    node expands only its least-row candidates and gives up when that row
-    exceeds the best code's.  A candidate in the orbit of an explored sibling
-    under the automorphisms found so far that fix the prefix reuses its
-    result.  Those start as the twin transpositions; a leaf repeating the best
-    code adds ``first[i] -> order[i]`` and unwinds to where the two part.
+    positions), and is returned packed by ``_pack_code``; the class fixes the
+    first two, so the search compares rows.  A node expands only its
+    least-row candidates and gives up when that row exceeds the best code's.
+    A candidate in the orbit of an explored sibling under the automorphisms
+    found so far that fix the prefix reuses its result.  Those start as the
+    twin transpositions; a leaf repeating the best code adds
+    ``first[i] -> order[i]`` and unwinds to where the two part.
 
     When every class is a set of twins (equal multiplicities to every other
     vertex), there is no search.  Equitable refinement commutes with
@@ -362,9 +366,8 @@ def _minimal_code(V, ext, loops, mult, classes):
     # twin-ness is transitive, so each class is checked against its first member
     if all(twins(cell[0], w) for cell in classes for w in cell[1:]):
         order = [v for cell in classes for v in cell]
-        rows = (tuple([mult[v][u] for u in order[:i]]) for i, v in enumerate(order))
-        code = tuple([(ext[v], loops[v], row) for v, row in zip(order, rows)])
-        return code, prod([factorial(len(cell)) for cell in classes])
+        rows = ([mult[v][u] for u in order[:i]] for i, v in enumerate(order))
+        return _pack_code(ext, loops, order, rows), prod([factorial(len(cell)) for cell in classes])
     gens = []
     for cell in classes:
         for i, w in enumerate(cell):
@@ -425,7 +428,35 @@ def _minimal_code(V, ext, loops, mult, classes):
         return code, sum([count for c, count in results.values() if c == code])
 
     count = rec({})[1]
-    return tuple([(ext[v], loops[v], row) for v, row in zip(first, best)]), count
+    return _pack_code(ext, loops, first, best), count
+
+
+def _pack_code(ext, loops, order, rows) -> bytes | tuple[int, ...]:
+    """The code of an ordering, flat: per position its ext flag, loop count
+    and multiplicities to the earlier positions.  Position i has exactly i
+    multiplicities, so the length fixes the layout.  The code is bytes, one
+    per value, unless a count passes 255; then it is a tuple of the same
+    values, which no bytes code equals."""
+    items = []
+    for v, row in zip(order, rows):
+        items += (ext[v], loops[v], *row)
+    try:
+        return bytes(items)
+    except ValueError:
+        return tuple(items)
+
+
+def _unpack_code(code: bytes | tuple[int, ...]) -> list[tuple[int, int, list[int]]]:
+    """(ext flag, loop count, multiplicities to the earlier positions) per
+    position of a packed code."""
+    items = list(code)
+    out = []
+    start = 0
+    while start < len(items):
+        i = len(out)
+        out.append((items[start], items[start + 1], items[start + 2 : start + 2 + i]))
+        start += 2 + i
+    return out
 
 
 def _root(parent: dict[int, int], x: int) -> int:
@@ -436,21 +467,23 @@ def _root(parent: dict[int, int], x: int) -> int:
 
 
 def _rebuild_canonical(code, n_empty) -> HalfEdgeGraph:
-    """The graph of a code: position i is vertex i, edges go in sorted order."""
+    """The graph of a packed code: position i is vertex i, edges go in
+    sorted order."""
+    positions = _unpack_code(code)
     slots: list[tuple[int, int]] = []
-    for i, (_, n_loops, row) in enumerate(code):
+    for i, (_, n_loops, row) in enumerate(positions):
         slots.extend([(i, i)] * n_loops)
         for j, m in enumerate(row):
             slots.extend([(j, i)] * m)
     slots.sort()
     edges = []
-    members: list[list[int]] = [[] for _ in code]
+    members: list[list[int]] = [[] for _ in positions]
     for t, (u, v) in enumerate(slots):
         a, b = 2 * t, 2 * t + 1
         edges.append((a, b))
         members[u].append(a)
         members[v].append(b)
-    external = [members[i][0] for i, entry in enumerate(code) if entry[0]]
+    external = [members[i][0] for i, entry in enumerate(positions) if entry[0]]
     return HalfEdgeGraph.of(edges, members, external, n_empty)
 
 
@@ -515,21 +548,22 @@ def _class_of(V, ext, loops, mult, n_empty: int) -> tuple[bytes, int, tuple[byte
     return key, aut_mg * aut_edges, parts
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.PROCESS)
 def _canonical(g: HalfEdgeGraph) -> tuple[bytes, int, tuple[bytes, ...]]:
     return _class_of(*_multigraph(g), g.n_empty)
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.PROCESS)
 def _code_tail(code, n_empty: int) -> tuple[bytes, int, tuple[bytes, ...]]:
-    """What a code fixes, built once per code: the canonical key, the factor
-    of |Aut| that permutes loops and parallel edges, and the monomial key.
-    The canonical graph is rebuilt here but not kept: ``graph_from_key``
+    """What a packed code fixes, built once per code: the canonical key, the
+    factor of |Aut| that permutes loops and parallel edges, and the monomial
+    key.  The canonical graph is rebuilt here but not kept: ``graph_from_key``
     gives it back to the callers that ask for it."""
     canon = _rebuild_canonical(code, n_empty)
     key = json.dumps(to_json_dict(canon), separators=(",", ":")).encode("ascii")
-    aut_edges = prod([2**n * factorial(n) * prod(map(factorial, row)) for _, n, row in code])
-    V, _, _, mult = _multigraph(canon)
+    V, _, loops, mult = _multigraph(canon)
+    aut_edges = prod([2**n * factorial(n) for n in loops])
+    aut_edges *= prod([factorial(m) for i, row in enumerate(mult) for m in row[:i]])
     if len(_vertex_groups(V, mult)) + n_empty == 1:
         parts = (key,)
     else:
@@ -562,7 +596,7 @@ def written_key(key: tuple[bytes, ...]) -> bytes:
     return canonical_key(reduce(disjoint_union, map(graph_from_key, key), EMPTY_GRAPH))
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.PROCESS)
 def graph_from_key(key: bytes) -> HalfEdgeGraph:
     """Keys are self-describing: parse the canonical serialization back."""
     return from_json_dict(json.loads(key.decode("ascii")))
@@ -719,7 +753,9 @@ class _Budget:
 
 
 # (m, k) -> (connected classes of grade (m + k, m, k), steps they cost)
-_CONNECTED: dict[tuple[int, int], tuple[list[HalfEdgeGraph], int]] = {}
+_CONNECTED: dict[tuple[int, int], tuple[list[HalfEdgeGraph], int]] = memo.table(
+    "graphs._CONNECTED", memo.PROCESS
+)
 
 
 def _connected(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
@@ -835,7 +871,9 @@ def _union_classes(monomials: Iterable[tuple[bytes, ...]]) -> list[HalfEdgeGraph
 
 
 # n -> ({(m, k): monomial keys of grade (n, m, k)}, steps they cost)
-_GRADE_CACHE: dict[int, tuple[dict[tuple[int, int], list[tuple[bytes, ...]]], int]] = {}
+_GRADE_CACHE: dict[int, tuple[dict[tuple[int, int], list[tuple[bytes, ...]]], int]] = memo.table(
+    "graphs._GRADE_CACHE", memo.PROCESS
+)
 
 
 def _monomials(n: int, budget: _Budget) -> dict[tuple[int, int], list[tuple[bytes, ...]]]:

@@ -22,8 +22,9 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 
+from . import memo
 from .errors import InvalidInput
 from .graphs import (
     EMPTY_VERTEX,
@@ -57,7 +58,7 @@ def counit(p: GraphPoly) -> Fraction:
     return p.coeff_key(EMPTY_KEY)
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _coproduct_connected(part: bytes, full: bool) -> GraphTensorPoly:
     """Coproduct of the connected graph with canonical key ``part``."""
     g = graph_from_key(part)
@@ -72,7 +73,7 @@ def _coproduct_connected(part: bytes, full: bool) -> GraphTensorPoly:
     return GraphTensorPoly({pair: Fraction(m) for pair, m in terms.items()})
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _coproduct_graph(key: Key, full: bool) -> GraphTensorPoly:
     """Coproduct of one monomial: the product over its parts."""
     parts = [_coproduct_connected(part, full) for part in key]
@@ -104,7 +105,7 @@ def coproduct_on_right(t: GraphTensorPoly, full_subgraph_term: bool = False) -> 
     )
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _antipode_connected(part: bytes) -> GraphPoly:
     """S(G) = -G - sum S(gamma) * (G/gamma) over the terms gamma (x) G/gamma of
     the coproduct of G other than 1 (x) G and G (x) 1."""
@@ -156,7 +157,7 @@ def _grafted(p: GraphPoly, a: bytes) -> GraphPoly:
     return linear_combination(summands, GraphPoly())
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _star_basis(ka: Key, kb: Key) -> GraphPoly:
     """Star product of two basis monomials, by recursion on the parts of ka.
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import permutations
 from typing import NamedTuple, Sequence
 
+from . import memo
 from .errors import NotInternalVertex, ValencyMismatch
 from .graphs import HalfEdgeGraph, _class_of, _multigraph
 from .poly import GraphPoly, Key, graph_from_key
@@ -97,7 +97,7 @@ class _Graftable(NamedTuple):
     leg_nbrs: tuple[int, ...]  # per external vertex, its one neighbour
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _graft_data(key: Key) -> _Graftable:
     """The vertex multigraph of a basis key, its parts side by side, so that
     no disjoint union is built or canonicalized, and what a graft reads of it."""
@@ -127,7 +127,7 @@ def _fits(host: _Graftable, legs: int | None) -> bool:
     return legs is not None and (legs in host.sites if legs else host.n_empty > 0)
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _insertion_basis(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
     """g1 o g2 on two basis keys, grafted on vertex multigraphs: the monomial
     key of each graft with the number of bijections that give it."""

@@ -24,7 +24,7 @@ beta_c of a block presentation of the graph.  It counts the index assignments
 of the chords by the normal-form term each one gives, so it never writes
 beta_c's words.  It sorts each raw slice of a word (the part that belongs to
 one block or to the external monomial) once per call and takes the sorted
-tuple from one process-wide table, so the terms of every tensor share one
+tuple from one shared table, so the terms of every tensor share one
 tuple per distinct sorted block or external monomial; the tensors themselves
 are still computed and stored per n.  ``psi`` inverts it by evaluating an
 invariant lift against the coinvariants z_c.  The lift of a term averages its
@@ -32,12 +32,13 @@ words over the group that reorders each block, the blocks of equal size and
 the external monomial, so its value on one word is the coefficient of the
 word's term over the size of that term's orbit.  ``psi`` reads this closed
 form and never builds the lift.  It pairs the tensor with one coinvariant
-table per block shape, built once per process: the terms that the single
+table per block shape, built on first use: the terms that the single
 words of the z_c cut to, over the indices 1..N only, each with the number of
 diagrams that give it.  A call costs one lookup per table term, and each
 block multigraph (the pairs of blocks that a term's indices join, which fix
 its graph and its orbit size) one canonical form the first time any tensor
-reaches it.
+reaches it.  These tables, the shared table and the tensors of ``phi`` are
+suite-lifetime memos (see ``memo``).
 """
 
 from __future__ import annotations
@@ -45,12 +46,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, pairwise, product as iproduct
 from math import factorial, prod
 from operator import itemgetter
 from typing import Iterable, Sequence
 
+from . import memo
 from .chords import (
     BlockShape,
     RawTensor,
@@ -191,7 +192,7 @@ def block_symmetrize(f: RawTensor, shape: BlockShape) -> InvariantTensor:
 
 # every sorted block and external monomial that phi has written, as itself:
 # the terms of all tensors share one tuple per distinct multiset of indices
-_SHARED: dict[Mono, Mono] = {}
+_SHARED: dict[Mono, Mono] = memo.table("tensors._SHARED", memo.SUITE)
 
 
 class _SortedSlices(dict):
@@ -205,7 +206,7 @@ class _SortedSlices(dict):
         return s
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _phi_cached(g: HalfEdgeGraph, n: int) -> InvariantTensor:
     shape, c = chord_from_graph(g)
     _check_assignments(n, c.size)
@@ -440,7 +441,7 @@ class _ShapeTable(dict):
         return group
 
 
-@lru_cache(maxsize=None)
+@memo.cache(memo.SUITE)
 def _psi_table(shape: BlockShape) -> _ShapeTable:
     """The coinvariant table of a block shape on 2N positions: its terms are
     over the indices 1..N, so it serves every dimension n >= N."""

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable
 
-from . import hopf, insertion
+from . import hopf, insertion, memo
 from .chords import beta, enumerate_chords, pair_raw, z_coinv
 from .corpus import connected_corpus, default_corpus, named_graph
 from .errors import InvalidInput, ResourceBound
@@ -798,12 +798,16 @@ def run_suite(
     report = VerificationReport(suite=name, params=params)
     targets = _SUITES.values() if name == "all" else [_SUITES[name]]
     for fn in targets:
-        fn(
-            report,
-            max_edges=max_edges,
-            dim=dim,
-            seed=seed,
-            full_subgraph_term=full_subgraph_term,
-            prelie_samples=prelie_samples,
-        )
+        try:
+            fn(
+                report,
+                max_edges=max_edges,
+                dim=dim,
+                seed=seed,
+                full_subgraph_term=full_subgraph_term,
+                prelie_samples=prelie_samples,
+            )
+        finally:
+            # the algebra memos serve the suite that filled them
+            memo.clear(memo.SUITE)
     return report

@@ -7,10 +7,11 @@ installed, against its VF2 matcher on the simple graphs.
 
 import hashlib
 import random
+from math import factorial
 
 import pytest
 
-from ckhopf import graphs
+from ckhopf import graphs, memo
 from ckhopf.corpus import connected_corpus
 from ckhopf.graphs import (
     HalfEdgeGraph,
@@ -213,8 +214,7 @@ def test_results_do_not_depend_on_which_labelling_ran_first():
     copies = [_relabelled(g, rng) for g in pool]
 
     def canonicalize_in_turn(first, second):
-        graphs._canonical.cache_clear()
-        graphs._code_tail.cache_clear()
+        memo.clear()
         out = []
         for a, b in zip(first, second):
             for g in (a, b):
@@ -228,18 +228,49 @@ def test_results_do_not_depend_on_which_labelling_ran_first():
     assert copy_first[0::2] == copy_first[1::2]
 
 
+def _rose(n):
+    """One vertex carrying n loops."""
+    return graph([(2 * i, 2 * i + 1) for i in range(n)], [tuple(range(2 * n))])
+
+
+def test_codes_with_counts_past_255_pack_into_wider_items():
+    roses = {n: _rose(n) for n in (255, 256, 257)}
+    edges = [(2 * i, 2 * i + 1) for i in range(256)]
+    parallel = graph(edges, [tuple(range(0, 512, 2)), tuple(range(1, 512, 2))])
+    pool = [*roses.values(), parallel]
+    keys = [canonical_key(g) for g in pool]
+    assert len(set(keys)) == len(pool)
+    for n, g in roses.items():
+        assert automorphism_count(g) == 2**n * factorial(n)
+    assert automorphism_count(parallel) == 2 * factorial(256)
+    codes = []
+    for g, key in zip(pool, keys):
+        mg = _multigraph(g)
+        code, _ = _minimal_code(*mg, _refine_classes(*mg))
+        assert _rebuild_canonical(code, 0) == graph_from_key(key)
+        codes.append(code)
+    # one byte per value up to 255; past it a flat tuple, which no bytes code equals
+    assert [type(code) for code in codes] == [bytes, tuple, tuple, tuple]
+    assert codes[0] == bytes([0, 255]) and codes[1] == (0, 256)
+    assert len(set(codes)) == len(codes)
+
+
 def test_canonical_graph_is_the_graph_of_its_key():
     # the code memo keeps no graph: canonical_form parses the key back, and
     # that graph is the one the code rebuilds, on every class up to 5 edges
     rng = random.Random(22)
     pool = [g for n in range(6) for g in enumerate_graphs(n, "all")]
     assert len(pool) == 1519
+    codes = set()
     for g in pool:
         copy = _relabelled(g, rng)
         key, canon = canonical_form(copy)
         mg = _multigraph(copy)
         code, _ = _minimal_code(*mg, _refine_classes(*mg))
+        codes.add((code, g.n_empty))
         assert canon == graph_from_key(canonical_key(g)) == _rebuild_canonical(code, g.n_empty), g
         tail = graphs._code_tail(code, g.n_empty)
         assert tail[0] == key
         assert not any(isinstance(x, HalfEdgeGraph) for x in tail), tail
+    # the packed codes key the code memo, so distinct classes need distinct codes
+    assert len(codes) == len(pool)

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ckhopf import memo
 from ckhopf.errors import (
     DanglingHalfEdge,
     EmptySubgraph,
@@ -388,12 +389,10 @@ def test_concurrent_canonicalization_deterministic():
     # pure functions with memo caches must be safe for concurrent callers
     from concurrent.futures import ThreadPoolExecutor
 
-    import ckhopf.graphs as G
-
-    G._canonical.cache_clear()
+    memo.clear()
     pool = [g for n in range(3) for g in enumerate_graphs(n, "all")]
     expect = [canonical_key(g) for g in pool]
-    G._canonical.cache_clear()
+    memo.clear()
     with ThreadPoolExecutor(max_workers=8) as ex:
         got = list(ex.map(canonical_key, pool))
     assert got == expect
@@ -438,10 +437,8 @@ def test_canonicalization_fuzz_against_oracle():
 
 
 def test_budget_env_var(monkeypatch):
-    import ckhopf.graphs as G
-
     monkeypatch.setenv("CKHOPF_BUDGET", "3")
-    G._GRADE_CACHE.clear()
+    memo.clear()
     with pytest.raises(ResourceBound):
         enumerate_graphs(3, "all")
     monkeypatch.delenv("CKHOPF_BUDGET")

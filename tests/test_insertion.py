@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from ckhopf import graphs, insertion
+from ckhopf import graphs, insertion, memo
 from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import NotInternalVertex, ValencyMismatch
 from ckhopf.graphs import (
@@ -121,7 +121,7 @@ def test_pairs_with_no_graft_make_no_memo_entry(loop1, twoleg):
     # an edge between two legs of g2; no site of g2's valency in g1
     legs_joined = (key("dumbbell"), key("freeprop"))
     no_site = (key("loop1"), key("bubble"))
-    _insertion_basis.cache_clear()
+    memo.clear()
     for k1, k2 in (legs_joined, no_site):
         basis = [GraphPoly({k: Fraction(1)}) for k in (k1, k2)]
         assert insertion_product(*basis).is_zero()
@@ -143,8 +143,7 @@ def test_disconnected_host_builds_no_disjoint_union(monkeypatch, loop1, twoleg, 
     calls = []
     union = graphs.disjoint_union
     monkeypatch.setattr(graphs, "disjoint_union", lambda g1, g2: calls.append(1) or union(g1, g2))
-    insertion._graft_data.cache_clear()
-    _insertion_basis.cache_clear()
+    memo.clear(memo.SUITE)
     for _ in range(3):
         assert [insertion_product(host, g) for g in guests] == want
     # the host's vertex multigraph is built part by part, once per key
@@ -255,14 +254,13 @@ def test_insertion_basis_leaves_the_canonical_memo_alone():
     pairs = [(k1, k2) for k1 in keys for k2 in keys]
 
     def products():
-        _insertion_basis.cache_clear()
+        memo.clear(memo.SUITE)
         before = graphs._canonical.cache_info().currsize
         out = [_insertion_basis(k1, k2) for k1, k2 in pairs]
         assert graphs._canonical.cache_info().currsize == before
         return out
 
-    graphs._canonical.cache_clear()
-    graphs._code_tail.cache_clear()
+    memo.clear()
     cold = products()
     # warm both memos with the canonical forms of relabelled labelled grafts
     grafts = [

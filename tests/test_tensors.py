@@ -6,7 +6,7 @@ from itertools import accumulate, chain, permutations, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckhopf import chords, tensors as tensors_module
+from ckhopf import chords, memo, tensors as tensors_module
 from ckhopf.chords import (
     BlockShape,
     ChordDiagram,
@@ -542,7 +542,7 @@ def test_psi_equals_its_definition():
     for g in graphs:
         N = len(g.edges)
         cases += [phi(g, n) for n in (N, N + 1) if n]
-    tensors_module._psi_table.cache_clear()
+    memo.clear()
     expected = [_psi_by_definition(t) for t in cases]
     assert tensors_module._psi_table.cache_info().currsize == 0
     seen = set()
@@ -584,11 +584,10 @@ def test_psi_tables_hold_each_diagram_once_over_the_indices_1_to_N():
 
 def test_psi_does_not_depend_on_the_shape_tables_being_warm():
     cases = _psi_cases()
-    tensors_module._psi_table.cache_clear()
-    chords.z_words.cache_clear()
+    memo.clear()
     cold = list(map(_psi_line, cases))
     warm = list(map(_psi_line, cases))
-    tensors_module._psi_table.cache_clear()
+    memo.clear()
     reversed_order = list(map(_psi_line, reversed(cases)))[::-1]
     assert cold == warm == reversed_order
     assert _psi_digest(cold) == PSI_TABLE_SHA256
@@ -789,13 +788,12 @@ def test_phi_terms_share_one_tuple_per_block_and_external_monomial():
 
 
 def test_phi_does_not_depend_on_the_shared_table_being_warm():
-    def table():
-        _phi_cached.cache_clear()
-        return [(n, phi(h, n)) for _, h in _phi_cases() for n in range(1, 6)]
-
-    tensors_module._SHARED.clear()
-    cold = table()
-    warm = table()
+    cases = [(h, n) for _, h in _phi_cases() for n in range(1, 6)]
+    memo.clear()
+    cold = [(n, phi(h, n)) for h, n in cases]
+    # computed again past the phi memo, with the shared table warm
+    fresh = _phi_cached.__wrapped__
+    warm = [(n, fresh(h, n)) for h, n in cases]
     assert warm == cold
     for t in (cold, warm):
         lines = [f"{n} {list(tn.terms())!r}" for n, tn in t]

@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import pytest
 
-from ckhopf import hopf, insertion, verify
+from ckhopf import hopf, insertion, memo, verify
 from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus
 from ckhopf.errors import InvalidInput, ResourceBound
@@ -239,12 +239,12 @@ def _faulty_star_basis(inert_hosts: bool, correction: bool):
 def test_star_dual_to_coproduct_catches_faulty_recursions(monkeypatch):
     cases = list(verify._star_dual_cases(4))
     assert len(cases) == 993
-    hopf._star_basis.cache_clear()
+    memo.clear(memo.SUITE)
     assert all(verify._check_star_dual(case) is None for case in cases)
     for inert_hosts, correction in [(True, True), (False, False)]:
-        hopf._star_basis.cache_clear()
+        memo.clear(memo.SUITE)
         with monkeypatch.context() as m:
             m.setattr(hopf, "_star_basis", _faulty_star_basis(inert_hosts, correction))
             failures = [case for case in cases if verify._check_star_dual(case) is not None]
         assert failures, (inert_hosts, correction)
-    hopf._star_basis.cache_clear()
+    memo.clear(memo.SUITE)
