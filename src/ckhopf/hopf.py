@@ -204,8 +204,10 @@ def star_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
 def lie_bracket(a: GraphPoly, b: GraphPoly) -> GraphPoly:
     """[a, b] = a o b - b o a on connected graphs with internal edges.
 
-    The star product is built from the insertion product, so on connected
-    graphs its commutator a * b - b * a is [b, a] by construction; the
-    harness's commutator check is a regression check of that construction.
+    On connected graphs the commutator a * b - b * a of the star product is
+    [b, a].  The harness's commutator check compares the two where the star
+    product is itself checked against the coproduct, so it is the check that
+    sees a wrong sign or scale here; the Jacobi identity holds for any
+    multiple of the bracket.
     """
     return insertion.insertion_product(a, b) - insertion.insertion_product(b, a)

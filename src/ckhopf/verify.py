@@ -4,8 +4,10 @@ Each suite runs a list of named checks.  A check is a predicate over one
 instance (a graph, a pair, a triple or an (N, n) case): it returns None when
 the instance passes and a serialized counterexample when it fails.  ``_run``
 applies it to the check's instances in order, and the first counterexample
-fails the check.  Reports are deterministic given (parameters, seed): the JSON
-form excludes wall-clock timings, which appear only in the text table.
+fails the check.  Each check records how many instances it applied its
+predicate to, so a pass over none shows as 0.  Reports are deterministic given
+(parameters, seed): the JSON form excludes wall-clock timings, which appear
+only in the text table.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .graphs import (
     monomial_key,
     relabel,
     to_json_dict,
+    written_key,
 )
 from .oracles import oracle_aut, oracle_enumerate, oracle_iso
 from .poly import EMPTY_KEY, GraphPoly, grade_of, linear_combination, product
@@ -61,6 +64,7 @@ class CheckResult:
     counterexample: dict | None = None
     gating: bool = True
     elapsed: float = 0.0
+    instances: int = 0
 
 
 @dataclass
@@ -83,6 +87,7 @@ class VerificationReport:
                     "name": c.name,
                     "passed": c.passed,
                     "gating": c.gating,
+                    "instances": c.instances,
                     "details": c.details,
                     "counterexample": c.counterexample,
                 }
@@ -97,7 +102,8 @@ class VerificationReport:
             status = "PASS" if c.passed else "FAIL"
             note = "" if c.gating else "  [diagnostic]"
             detail = f"  {c.details}" if c.details else ""
-            lines.append(f"  {c.name:<{width}} {status}  {c.elapsed:7.2f}s{note}{detail}")
+            count = f"{c.instances:>8} instances"
+            lines.append(f"  {c.name:<{width}} {status}  {c.elapsed:7.2f}s{count}{note}{detail}")
             if c.counterexample is not None:
                 lines.append(f"      counterexample: {json.dumps(c.counterexample)}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
@@ -112,15 +118,21 @@ def _run(
     gating: bool = True,
 ) -> CheckResult:
     """Apply ``fails`` to the instances in order; the first counterexample it
-    returns fails the check.  Iterating ``instances`` runs inside the check,
-    so a lazy iterable is timed with it and its errors fail only this check."""
+    returns fails the check.  ``instances`` counts the applications, the one
+    that failed or raised included.  Iterating ``instances`` runs inside the
+    check, so a lazy iterable is timed with it and its errors fail only this
+    check."""
     t0 = time.perf_counter()
+    check = CheckResult(name, True, gating=gating)
     try:
-        cex = next((c for c in map(fails, instances) if c is not None), None)
-        check = CheckResult(name, cex is None, counterexample=cex, gating=gating)
+        for instance in instances:
+            check.instances += 1
+            cex = fails(instance)
+            if cex is not None:
+                check.passed, check.counterexample = False, cex
+                break
     except Exception as exc:  # one broken check must not abort the report
-        details = f"error: {type(exc).__name__}: {exc}"
-        check = CheckResult(name, False, details=details, gating=gating)
+        check.passed, check.details = False, f"error: {type(exc).__name__}: {exc}"
     check.elapsed = time.perf_counter() - t0
     report.checks.append(check)
     return check
@@ -146,18 +158,24 @@ def _all_classes(max_edges: int) -> list[HalfEdgeGraph]:
 
 
 def _check_coassociativity(g, full: bool):
+    """(coproduct (x) id) against (id (x) coproduct) of the coproduct of g:
+    the two iterate it on different legs."""
     d = hopf.coproduct(GraphPoly.from_graph(g), full)
     left, right = hopf.coproduct_on_left(d, full), hopf.coproduct_on_right(d, full)
     return _docs(g) if left != right else None
 
 
 def _check_algebra_map(pair):
+    """The coproduct of a union against the product of the coproducts.  The
+    coproduct of a monomial is the product of its parts' coproducts, so what
+    this compares is ``product`` on H with the product on H (x) H."""
     p, q = map(GraphPoly.from_graph, pair)
     lhs = hopf.coproduct(product(p, q))
     return _docs(*pair) if lhs != hopf.coproduct(p).mul(hopf.coproduct(q)) else None
 
 
 def _check_counit(g):
+    """(counit (x) id) of the coproduct of g against g itself."""
     p = GraphPoly.from_graph(g)
     terms = hopf.coproduct(p).terms()
     collapsed = linear_combination(
@@ -168,6 +186,9 @@ def _check_counit(g):
 
 
 def _check_antipode_axiom(g):
+    """m (S (x) id) of the coproduct of g against unit(counit(g)).  On a
+    connected g this is the recursion that defines S, so the side it checks
+    is the extension of S and of the coproduct to monomials."""
     p = GraphPoly.from_graph(g)
     summands = []
     for (k1, k2), c in hopf.coproduct(p).terms():
@@ -177,15 +198,30 @@ def _check_antipode_axiom(g):
     return _docs(g) if total != hopf.unit(hopf.counit(p)) else None
 
 
-def _keyed_pairs(graphs):
-    """Ordered pairs of (graph, canonical key, GraphPoly), each built once."""
-    keyed = [(g, canonical_key(g), GraphPoly.from_graph(g)) for g in graphs]
-    yield from itertools.product(keyed, repeat=2)
+def _pairing_check():
+    """The predicate of ``pairing-orthogonality`` on the window's classes, in
+    enumeration order, in one pass.  Its independent side is the enumeration,
+    which yields each class once (``oracle-enumeration-agreement`` checks it):
+    through ``hopf.pairing``, <g, g> = 1 and <h, g> = 0 for h the previous
+    class of g's grade; no two classes share a monomial key; and the key of g
+    read from its parts, written as one graph, is the canonical key of g."""
+    first: dict = {}  # monomial key -> the first class with it
+    previous: dict = {}  # grade -> the last class of that grade so far
 
+    def fails(g):
+        p, key = GraphPoly.from_graph(g), monomial_key(g)
+        if hopf.pairing(p, p) != 1:
+            return _docs(g, law="self-pairing")
+        h, previous[g.grade()] = previous.get(g.grade()), g
+        if h is not None and hopf.pairing(GraphPoly.from_graph(h), p) != 0:
+            return _docs(h, g, law="adjacent-pairing")
+        if first.setdefault(key, g) is not g:
+            return _docs(first[key], g, law="distinct-keys")
+        if written_key(key) != canonical_key(g):
+            return _docs(g, law="written-key")
+        return None
 
-def _check_pairing_orthogonality(pair):
-    (g1, k1, p1), (g2, k2, p2) = pair
-    return _docs(g1, g2) if hopf.pairing(p1, p2) != (1 if k1 == k2 else 0) else None
+    return fails
 
 
 def _suite_hopf(r: VerificationReport, max_edges: int, full_subgraph_term: bool, **_):
@@ -195,7 +231,7 @@ def _suite_hopf(r: VerificationReport, max_edges: int, full_subgraph_term: bool,
     _run(r, "coproduct-algebra-map", pairs, _check_algebra_map)
     _run(r, "counit-axiom", graphs, _check_counit)
     _run(r, "antipode-axiom", graphs, _check_antipode_axiom)
-    _run(r, "pairing-orthogonality", _keyed_pairs(graphs), _check_pairing_orthogonality)
+    _run(r, "pairing-orthogonality", graphs, _pairing_check())
     if full_subgraph_term:
         _run(
             r,
@@ -236,22 +272,17 @@ def _suite_grading(r: VerificationReport, max_edges: int, **_):
 # ---------------------------------------------------------------------------
 # duality suite
 #
-# With the insertion orientation of the pre-Lie module (G1 o G2 inserts G2
-# into G1) and the first star argument paired against the subgraph leg, the
-# star product satisfies a * b = a u b + b o a; see the concrete instance
-# twoleg * loop1 = twoleg u loop1 + 2 bubble.
-
-
-def _check_star_insertion(pair):
-    a, b = map(GraphPoly.from_graph, pair)
-    star = hopf.star_product(a, b)
-    expected = product(a, b) + insertion.insertion_product(b, a)
-    if star != expected:
-        return _docs(*pair, star=poly_to_doc(star), expected=poly_to_doc(expected))
-    return None
+# The star product is the Guin-Oudom recursion on the insertion product
+# (``hopf._star_basis``), so no check here compares it with a rewriting of
+# itself.  Each compares it with a side built without it: the coproduct of
+# the window's classes, the hand-computed twoleg * loop1, the plain union, or
+# the Lie bracket taken from the insertion product directly.  Every pair has
+# at most max_edges edges in all, as every class of the window does.
 
 
 def _check_concrete_instance(names):
+    """twoleg * loop1 - twoleg u loop1 against its value worked out by hand,
+    2 bubble."""
     twoleg, loop1, bubble = map(named_graph, names)
     a, b = GraphPoly.from_graph(twoleg), GraphPoly.from_graph(loop1)
     lhs = hopf.star_product(a, b) - product(a, b)
@@ -265,20 +296,18 @@ def _star_k_pairs(max_edges: int):
 
 
 def _check_star_with_k(pair):
+    """a * K against the union a u K, for K without internal edges: no proper
+    coproduct term has a quotient leg without internal edges, so by duality
+    a * K has no term but the union."""
     a, b = map(GraphPoly.from_graph, pair)
     return _docs(*pair) if hopf.star_product(a, b) != product(a, b) else None
 
 
-def _check_leading_term(pair):
-    a, b = map(GraphPoly.from_graph, pair)
-    rest = hopf.star_product(a, b) - product(a, b)
-    for g, _c in rest.graphs():
-        if len(monomial_key(g)) >= 2:
-            return _docs(*pair, term=to_json_dict(g))
-    return None
-
-
 def _check_star_commutator(pair):
+    """a * b - b * a against ``hopf.lie_bracket(b, a)``, which takes the two
+    insertion products directly.  The star side is checked against the
+    coproduct on the same pairs, so this pins the bracket, whose sign and
+    scale the Jacobi identity cannot see."""
     a, b = map(GraphPoly.from_graph, pair)
     comm = hopf.star_product(a, b) - hopf.star_product(b, a)
     return _docs(*pair) if comm != hopf.lie_bracket(b, a) else None
@@ -307,6 +336,7 @@ def _star_dual_cases(max_edges: int):
 
 
 def _check_star_dual(case):
+    """g1 * g2 against the product read off the coproduct (``_star_dual_cases``)."""
     g1, g2, expected = case
     star = hopf.star_product(GraphPoly.from_graph(g1), GraphPoly.from_graph(g2))
     if star != expected:
@@ -315,13 +345,11 @@ def _check_star_dual(case):
 
 
 def _suite_duality(r: VerificationReport, max_edges: int, **_):
-    plus = connected_corpus(max_edges)
-    pairs = [(g1, g2) for g1 in plus for g2 in plus]
-    _run(r, "star-equals-union-plus-insertion", pairs, _check_star_insertion)
     concrete = [("twoleg", "loop1", "bubble")]
     _run(r, "concrete-twoleg-star-loop1", concrete, _check_concrete_instance)
     _run(r, "star-with-K-is-union", _star_k_pairs(max_edges), _check_star_with_k)
-    _run(r, "star-leading-term", pairs, _check_leading_term)
+    plus = connected_corpus(max_edges)
+    pairs = [(a, b) for a in plus for b in plus if len(a.edges) + len(b.edges) <= max_edges]
     _run(r, "star-commutator-vs-bracket", pairs, _check_star_commutator)
     _run(r, "star-dual-to-coproduct", _star_dual_cases(max_edges), _check_star_dual)
 

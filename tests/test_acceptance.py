@@ -40,8 +40,10 @@ def test_criterion_2_grading_laws():
 
 
 def test_criterion_3_duality_insertion():
-    # star = union + insertion on all connected pairs with >= 1 internal edge,
-    # including the concrete instance twoleg * loop1 - twoleg u loop1 = 2 bubble
+    # the star product, built from the insertion product, against the
+    # coproduct on every pair of classes with <= 3 edges in all, against the
+    # Lie bracket on those of connected graphs, and on the concrete instance
+    # twoleg * loop1 - twoleg u loop1 = 2 bubble
     _run(3, "duality", "star product vs insertion duality on the full window")
 
 

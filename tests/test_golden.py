@@ -83,31 +83,31 @@ TEXT_CASES = {
     "enumerate_2_connected.txt": ["enumerate", "--edges", "2", "--connected"],
 }
 
-VERIFY_GRADING_SHA256 = "ec5cda02de527676360ee9a0c83d6260a40981f78ed3bfb51930c6d706f0faa9"
-VERIFY_DUALITY_SHA256 = "51f7b21a7e32c2187eec6a0c12bd98717b09e3bd3ebc78642858f3327a47b7e1"
-VERIFY_BIALGEBRA_SHA256 = "786cdf09710956f060fdb8e35fb3a350ad38ee16a74946a79289d859ff35eccc"
+VERIFY_GRADING_SHA256 = "dcc5e106e8ff7927e32bcd24691b6198ecc657389ced040cf6007d7400bcbb26"
+VERIFY_DUALITY_SHA256 = "69f960409074727868598f6aa95f7ff94339b5ab38ddbed442e699eb8bd88347"
+VERIFY_BIALGEBRA_SHA256 = "394647308ed85457a63c2ed0e5fac9a410b676d308eb76395167974af7cf8fc6"
 
 # sha256 of ``verify --suite <s> --format json`` at the default window.
 VERIFY_SUITE_SHA256 = {
-    "hopf": "7b0cc8e4da267e81287133354955dd7ae227bd0c90f013c4960db471c4778fbf",
-    "prelie": "b4a10ad598bc57bfafcad1f3e908d97260a5df8d3746e6e5419c9e3243706082",
-    "invariants": "ddee2e241f373bfec17264205e5f5c555fd081715d4f5b23523feeaba651f2bb",
-    "main-theorem": "a58845f493b40e3fcb64d87939cba14abedbf2594338e68d26e3027e45711251",
-    "roundtrip": "2b71614663ac25f5d62c62f38254e7b6a401c94987354e6be7ec6423a5e0f237",
-    "oracles": "8129f21a2d6875c0e1bd1d7e4237a261e0c3a7046f7d20bda52d21a32b1e9b15",
+    "hopf": "c8fece40a652f00bf00564a6ecf5cc325efe7e8ccd013d0b51f4d3217caa5cba",
+    "prelie": "969e5c52859833ce2916a8f35bcd84efdb3e168bcab3af5ef29c9f4ac7c0ceb7",
+    "invariants": "59ebf7ab6cdc5a6992c4cd505db22e65d1efde76fb6cc70666099a8561e4b821",
+    "main-theorem": "1b5a45749fca02f34acd3b02816a6d98204282baa9aaed2b097a7f4d820caa9b",
+    "roundtrip": "1884cd7f62fe348bfd2367c68aca3167aa26599477e6dacfe2b3bfc0f094369c",
+    "oracles": "8af0ba632d3119ac9210bc52e0149fb0401f60efa8768bd110c7ec05f40fb35f",
 }
 
 # sha256 of the JSON reports of every suite at the default window with the
 # faults of ``VERIFY_FAULTS`` injected, one line per suite.  Passing reports
 # carry no counterexample, so these pin the counterexample documents.
-VERIFY_FAULTS_SHA256 = "45b27f5c0d25f7dae54b36362b5e7d0f4b546f42f94641991d720c09dcbe2f86"
+VERIFY_FAULTS_SHA256 = "fadbf04aec1e53bb4491e907c2fb90e1aeff8f5da7e112ddecfcd910ff6999a2"
 
 # sha256 of ``verify --suite prelie --max-edges 4 --format json``, as it runs
 # and with the faults of ``VERIFY_FAULTS["prelie"]`` injected: the exhaustive
 # right-symmetry check where it is largest, counterexample included.
 VERIFY_PRELIE_E4_SHA256 = {
-    "plain": "007a59171f135dcc8559c56c23c582b6b69c627edddca177a647bb80b6762ae6",
-    "fault": "da496e4da2cd97cc0165f778183af5acaa5785d19e07128084339a75f9649f8b",
+    "plain": "41e1ecd59c3912d9357fca211036897f2c038d7e1963c05e6d175479143d26fb",
+    "fault": "e6d1a0e5f6d55e313ebb4e242a325c0fae8e123b3152616ff8c4c44a67156ba4",
 }
 
 # sha256 of the JSON documents of star_product(a, b), one line per ordered
@@ -156,7 +156,7 @@ CANONICAL_TRIPLE_SHA256 = "e5fbde9e2a5cdb3534316668405e0a3ba2ce2db11d43e31145527
 # ``insert`` and ``star``), ``enumerate`` at 0..3 edges with each filter,
 # ``psi`` and three ``delta`` splits on four ``phi`` files, two ``verify``
 # suites and one malformed input per input kind, each in both formats.
-CLI_SWEEP_SHA256 = "f34fa04ece3fe16fa5e4dd634813b46433b70853c25ea26f2aa8c0ea8a407f40"
+CLI_SWEEP_SHA256 = "888aa03de4768ec45b1da18f3b5c4425d1d4df427c7ae5241b8ec9b660e25d17"
 
 # (file name, graph, dim) of the tensor files that ``psi`` and ``delta`` read.
 SWEEP_TENSORS = [
@@ -229,6 +229,7 @@ def test_verify_grading_digest(capsys):
 @pytest.mark.parametrize(
     "suite, digest",
     [("duality", VERIFY_DUALITY_SHA256), ("bialgebra", VERIFY_BIALGEBRA_SHA256)],
+    ids=["duality", "bialgebra"],
 )
 def test_verify_suite_digest(capsys, suite, digest):
     out = json_output(capsys, ["verify", "--suite", suite])

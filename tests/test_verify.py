@@ -10,7 +10,7 @@ from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus
 from ckhopf.errors import InvalidInput, ResourceBound
 from ckhopf.graphs import graph, to_json_dict
-from ckhopf.poly import GraphPoly, product
+from ckhopf.poly import GraphPoly, grade_of, product
 from ckhopf.serialize import dumps
 from ckhopf.tensors import phi
 from ckhopf.verify import run_suite, suite_names
@@ -33,8 +33,10 @@ def test_report_structure():
     assert doc["suite"] == "grading"
     assert doc["params"]["max_edges"] == 2
     assert all("name" in c and "passed" in c for c in doc["checks"])
+    assert [c["instances"] for c in doc["checks"]] == [c.instances for c in rep.checks]
     text = rep.to_text()
     assert "PASS" in text and "overall" in text
+    assert f"{rep.checks[0].instances} instances" in text
 
 
 def test_report_bit_for_bit_reproducible():
@@ -108,7 +110,9 @@ def test_run_records_the_first_counterexample():
     check = verify._run(report, "thirds", range(1, 9), lambda i: {"i": i} if i % 3 == 0 else None)
     assert report.checks == [check]
     assert not check.passed and check.counterexample == {"i": 3}
-    assert verify._run(report, "none", [], lambda i: {"i": i}).passed
+    assert check.instances == 3
+    empty = verify._run(report, "none", [], lambda i: {"i": i})
+    assert empty.passed and empty.instances == 0
 
 
 def test_run_fails_only_its_check_when_its_instances_raise():
@@ -120,6 +124,7 @@ def test_run_fails_only_its_check_when_its_instances_raise():
     check = verify._run(report, "lazy", instances(), lambda i: None, gating=False)
     assert not check.passed and not check.gating and check.counterexample is None
     assert check.details == "error: ResourceBound: enumeration exceeded budget of 1 steps"
+    assert check.instances == 1
 
 
 def test_docs_names_one_graph_or_several(loop1, twoleg):
@@ -159,6 +164,40 @@ def test_exhaustive_right_symmetry_reaches_the_diagonal(monkeypatch):
     check = run_suite("prelie").checks[0]
     assert check.name == "associator-right-symmetry-exhaustive"
     assert check.details == "error: ValueError: fault on the diagonal"
+
+
+@pytest.mark.parametrize("max_edges", [2, 3])
+def test_every_gating_check_covers_an_instance(max_edges):
+    report = run_suite("all", max_edges=max_edges)
+    assert report.passed
+    assert [c.name for c in report.checks if c.gating and not c.instances] == []
+
+
+def test_small_windows_pass_and_report_their_vacuous_checks():
+    # a window of 0 or 1 is valid: its empty checks pass and read 0
+    vacuous = {
+        0: [
+            "connected-m0-iff-n-le-k",
+            "star-with-K-is-union",
+            "star-commutator-vs-bracket",
+            "star-dual-to-coproduct",
+            "associator-right-symmetry-exhaustive",
+            "insertion-grade-law",
+            "phi-multiplicative",
+            "phi-primitive-on-connected",
+            "delta-cross-terms",
+            "delta-counit-compatibility",
+            "phi-equivariance-insertion",
+            "prelie-projection-compatibility",
+            "tensor-associator-right-symmetry",
+        ],
+        # the first pair of either check has 2 edges
+        1: ["star-commutator-vs-bracket", "star-dual-to-coproduct"],
+    }
+    for max_edges, names in vacuous.items():
+        report = run_suite("all", max_edges=max_edges)
+        assert report.passed
+        assert [c.name for c in report.checks if not c.instances] == names
 
 
 def _fraction_rank(rows) -> int:
@@ -209,14 +248,8 @@ def test_rank_matches_fraction_elimination():
     assert verify._rank([[0, 2], [0, 4], [1, 0]]) == 2
 
 
-def _faulty_star_basis(inert_hosts: bool, correction: bool):
-    """The recursion of ``hopf._star_basis`` with one fault: the parts without
-    internal edges taken as graft hosts, or the (A <- a) * kb term dropped."""
-
-    def grafted(p, a):
-        if not inert_hosts:
-            return hopf._grafted(p, a)
-        return insertion.insertion_product(p, GraphPoly({(a,): Fraction(1)}))
+def _star_basis_without_correction():
+    """The recursion of ``hopf._star_basis`` without its (A <- a) * kb term."""
 
     @lru_cache(maxsize=None)
     def star(ka, kb):
@@ -224,27 +257,76 @@ def _faulty_star_basis(inert_hosts: bool, correction: bool):
             return GraphPoly({kb: Fraction(1)})
         a, rest = ka[0], ka[1:]
         tail = star(rest, kb)
-        out = product(GraphPoly({(a,): Fraction(1)}), tail)
-        if hopf._inert(a):
-            return out
-        out += grafted(tail, a)
-        if correction:
-            for y, c in grafted(GraphPoly({rest: Fraction(1)}), a).terms():
-                out -= star(y, kb).scale(c)
-        return out
+        lead = product(GraphPoly({(a,): Fraction(1)}), tail)
+        return lead if hopf._inert(a) else lead + hopf._grafted(tail, a)
 
     return star
 
 
-def test_star_dual_to_coproduct_catches_faulty_recursions(monkeypatch):
-    cases = list(verify._star_dual_cases(4))
-    assert len(cases) == 993
-    memo.clear(memo.SUITE)
-    assert all(verify._check_star_dual(case) is None for case in cases)
-    for inert_hosts, correction in [(True, True), (False, False)]:
+_GRAFTED, _BRACKET = hopf._grafted, hopf.lie_bracket
+_STAR_DUAL, _WITH_K = "star-dual-to-coproduct", "star-with-K-is-union"
+_COMMUTATOR, _CONCRETE = "star-commutator-vs-bracket", "concrete-twoleg-star-loop1"
+
+
+def _grafted_into_inert_hosts(p, a):
+    return insertion.insertion_product(p, GraphPoly({(a,): Fraction(1)}))
+
+
+def _grafts_of_at_most_2_edges(p, a):
+    return GraphPoly((k, c) for k, c in _GRAFTED(p, a).terms() if grade_of(k).n <= 2)
+
+
+# name: (replacements in ``hopf``, the failing duality checks at max_edges 1,
+# 2, 3 and 4).  Each duality check compares the star product with a side
+# built without it, and the mutants show which check sees which fault first.
+DUALITY_MUTANTS = {
+    # a known gap: the correction is nonzero only for a first argument with a
+    # part that has a leg and an internal edge (2 edges) beside another part
+    # with an internal edge, and a nonempty second argument: 4 edges at least
+    "star-basis-without-correction": (
+        {"_star_basis": _star_basis_without_correction()},
+        [[], [], [], [_STAR_DUAL]],
+    ),
+    "grafted-into-inert-hosts": (
+        {"_grafted": _grafted_into_inert_hosts},
+        [[], [_WITH_K], [_WITH_K, _STAR_DUAL], [_WITH_K, _STAR_DUAL]],
+    ),
+    "nothing-inert": (
+        {"_inert": lambda part: False},
+        [[], [_WITH_K, _STAR_DUAL], [_WITH_K, _STAR_DUAL], [_WITH_K, _STAR_DUAL]],
+    ),
+    "bracket-zero": (
+        {"lie_bracket": lambda a, b: GraphPoly()},
+        [[], [], [_COMMUTATOR], [_COMMUTATOR]],
+    ),
+    "bracket-sign-swapped": (
+        {"lie_bracket": lambda a, b: _BRACKET(b, a)},
+        [[], [], [_COMMUTATOR], [_COMMUTATOR]],
+    ),
+    "grafts-doubled": (
+        {"_grafted": lambda p, a: _GRAFTED(p, a).scale(2)},
+        [[_CONCRETE], [_CONCRETE], *[[_CONCRETE, _COMMUTATOR, _STAR_DUAL]] * 2],
+    ),
+    "every-part-inert": (
+        {"_inert": lambda part: True},
+        [[_CONCRETE], [_CONCRETE], *[[_CONCRETE, _COMMUTATOR, _STAR_DUAL]] * 2],
+    ),
+    # the guest's legs join the host's half-edges, so a graft has fewer edges
+    # than its pair: a 3-edge graft first appears in the window at 4
+    "grafts-above-2-edges-dropped": (
+        {"_grafted": _grafts_of_at_most_2_edges},
+        [[], [], [], [_COMMUTATOR, _STAR_DUAL]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUALITY_MUTANTS))
+def test_duality_mutant_dies_at_its_window(monkeypatch, name):
+    replacements, killers = DUALITY_MUTANTS[name]
+    for attr, fake in replacements.items():
+        monkeypatch.setattr(hopf, attr, fake)
+    for max_edges, expected in enumerate(killers, 1):
+        # run_suite empties the memos when the suite ends, not before
         memo.clear(memo.SUITE)
-        with monkeypatch.context() as m:
-            m.setattr(hopf, "_star_basis", _faulty_star_basis(inert_hosts, correction))
-            failures = [case for case in cases if verify._check_star_dual(case) is not None]
-        assert failures, (inert_hosts, correction)
-    memo.clear(memo.SUITE)
+        report = run_suite("duality", max_edges=max_edges)
+        assert [c.name for c in report.checks if not c.passed] == expected, max_edges
