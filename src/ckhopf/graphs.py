@@ -352,6 +352,22 @@ def _minimal_code(V, ext, loops, mult, classes):
     twin transpositions; a leaf repeating the best code adds
     ``first[i] -> order[i]`` and unwinds to where the two part.
 
+    Each row is packed into one int in base max multiplicity + 1, first
+    entry most significant.  Rows at one position have the same length, so
+    the ints order as the rows do, and only the best code is unpacked.
+    ``best`` only ever falls, so a result carries a stamp that is bumped
+    whenever ``best`` is cut back, in place of a copy of the code.  Each
+    automorphism is kept with the points it moves, and a node with one
+    least-row candidate is walked without orbit bookkeeping.
+
+    Zero-row bound: when ``best`` has zero rows at positions pos..z-1 of the
+    current class, a completion matches it there only by placing z - pos
+    vertices whose rows are zero now and that have no edges among them.  An
+    edge of a matching holds at most one vertex of such a set, so if the
+    zero-row candidates less a greedy maximal matching among them are fewer
+    than z - pos, no leaf below equals ``best`` (and none is less, since zero
+    is the least row): the node counts 0 and loses no automorphism.
+
     When every class is a set of twins (equal multiplicities to every other
     vertex), there is no search.  Equitable refinement commutes with
     automorphisms and every permutation inside a twin class is one, so the
@@ -368,67 +384,113 @@ def _minimal_code(V, ext, loops, mult, classes):
         order = [v for cell in classes for v in cell]
         rows = ([mult[v][u] for u in order[:i]] for i, v in enumerate(order))
         return _pack_code(ext, loops, order, rows), prod([factorial(len(cell)) for cell in classes])
-    gens = []
+    gens = []  # (permutation, the points it moves)
     for cell in classes:
         for i, w in enumerate(cell):
             for v in cell[:i]:
                 if twins(v, w):
-                    gens.append([w if x == v else v if x == w else x for x in range(V)])
+                    gens.append(([w if x == v else v if x == w else x for x in range(V)], {v, w}))
                     break
-    cell_at = [cell for cell in classes for _ in cell]
-    best: list = []  # rows of the least code found; the placed prefix matches it
+    base = max(map(max, mult)) + 1
+    cell_at: list[list[int]] = []  # position -> its class
+    cell_end: list[int] = []  # position -> the end of its class's positions
+    for cell in classes:
+        cell_at += [cell] * len(cell)
+        cell_end += [len(cell_at)] * len(cell)
+    best: list[int] = []  # packed rows of the least code; the placed prefix matches it
     first: list[int] = []  # the first ordering that reached ``best``
     order: list[int] = []
+    stamp = 0  # bumped whenever ``best`` is cut back to a lesser row
+    run_end = [0] * V  # position -> the end of best's zero rows from there
 
-    def rec(rows: dict[int, tuple]):
-        # rows: unplaced vertex of the class -> multiplicities to the prefix
-        pos = len(order)
-        if pos == V:
-            if not first:
-                first.extend(order)
-                return tuple(best), 1
-            image = dict(zip(first, order))
-            gens.append([image[x] for x in range(V)])
-            raise _Jump(next(i for i in range(V) if first[i] != order[i]))
-        rows = rows or {v: tuple([mult[v][u] for u in order]) for v in cell_at[pos]}
-        low = min(rows.values())
-        if pos < len(best) and low > best[pos]:
-            return tuple(best), 0
-        if pos < len(best) and low < best[pos]:
-            del best[pos:]
-            first.clear()
-        if pos == len(best):
-            best.append(low)
-        results: dict[int, tuple[tuple, int]] = {}  # candidate -> (code, count)
-        orbit: dict[int, int] = {}  # union-find forest of the orbits
-        used = 0  # automorphisms already merged into ``orbit``
-        for v in [v for v, row in rows.items() if row == low]:
-            s = None
-            if results:
-                for g in gens[used:]:
-                    if all(g[u] == u for u in order):
-                        for x in rows:
-                            orbit[_root(orbit, x)] = _root(orbit, g[x])
-                used = len(gens)
-                root = _root(orbit, v)
-                s = next((s for s in results if _root(orbit, s) == root), None)
-            if s is None:
+    def rec(rows: dict[int, int]):
+        # rows: unplaced vertex of the class -> packed multiplicities to the
+        # prefix.  Nodes with one least-row candidate are walked in a loop.
+        nonlocal stamp
+        top = len(order)
+        try:
+            while True:
+                pos = len(order)
+                if pos == V:
+                    if not first:
+                        first.extend(order)
+                        for p in reversed(range(V)):
+                            run_end[p] = p if best[p] else run_end[p + 1] if p + 1 < cell_end[p] else p + 1
+                        return stamp, 1
+                    image = dict(zip(first, order))
+                    g = [image[x] for x in range(V)]
+                    gens.append((g, {x for x in range(V) if g[x] != x}))
+                    raise _Jump(next(i for i in range(V) if first[i] != order[i]))
+                if not rows:
+                    for v in cell_at[pos]:
+                        row = 0
+                        for u in order:
+                            row = row * base + mult[v][u]
+                        rows[v] = row
+                low = min(rows.values())
+                if pos == len(best):
+                    best.append(low)
+                elif low > best[pos]:
+                    return stamp, 0
+                elif low < best[pos]:
+                    del best[pos + 1 :]
+                    best[pos] = low
+                    first.clear()
+                    stamp += 1
+                cands = [v for v, row in rows.items() if row == low]
+                # the zero-row bound; ``first`` is set only while ``best`` is a whole code
+                if low == 0 and first and len(cands) < 2 * (run_end[pos] - pos) - 1:
+                    free = set(cands)
+                    pairs = 0
+                    for v in cands:
+                        if v in free:
+                            free.discard(v)
+                            for w in cands:
+                                if mult[v][w] and w in free:
+                                    free.discard(w)
+                                    pairs += 1
+                                    break
+                    if len(cands) - pairs < run_end[pos] - pos:
+                        return stamp, 0
+                if len(cands) > 1:
+                    break
+                v = cands[0]
                 order.append(v)
-                try:
-                    results[v] = rec({w: row + (mult[w][v],) for w, row in rows.items() if w != v})
-                except _Jump as jump:
-                    if jump.args[0] != pos:
-                        raise
-                    del order[pos + 1:]
-                    s = first[pos]
-                order.pop()
-            if s is not None:
-                results[v] = results[s]
-        code = tuple(best)
-        return code, sum([count for c, count in results.values() if c == code])
+                col = mult[v]
+                rows = {w: row * base + col[w] for w, row in rows.items() if w != v}
+            results: dict[int, tuple[int, int]] = {}  # candidate -> (stamp, count)
+            orbit: dict[int, int] = {}  # union-find forest of the orbits
+            used = 0  # automorphisms already merged into ``orbit``
+            for v in cands:
+                s = None
+                if results:
+                    for g, moved in gens[used:]:
+                        if moved.isdisjoint(order):
+                            for x in rows:
+                                orbit[_root(orbit, x)] = _root(orbit, g[x])
+                    used = len(gens)
+                    if orbit:
+                        root = _root(orbit, v)
+                        s = next((s for s in results if _root(orbit, s) == root), None)
+                if s is None:
+                    order.append(v)
+                    try:
+                        col = mult[v]
+                        results[v] = rec({w: row * base + col[w] for w, row in rows.items() if w != v})
+                    except _Jump as jump:
+                        if jump.args[0] != pos:
+                            raise
+                        s = first[pos]
+                    order.pop()
+                if s is not None:
+                    results[v] = results[s]
+            return stamp, sum([count for c, count in results.values() if c == stamp])
+        finally:
+            del order[top:]
 
     count = rec({})[1]
-    return _pack_code(ext, loops, first, best), count
+    rows = ([row // base ** (i - 1 - j) % base for j in range(i)] for i, row in enumerate(best))
+    return _pack_code(ext, loops, first, rows), count
 
 
 def _pack_code(ext, loops, order, rows) -> bytes | tuple[int, ...]:

@@ -1,4 +1,5 @@
-"""Canonical labelling: pinned keys, closed-form |Aut| and an independent cross-check.
+"""Canonical labelling: pinned keys, closed-form |Aut|, a brute-force least code
+and an independent cross-check.
 
 Every basis key of H is a canonical key, so the keys themselves are pinned by a
 hash, and |Aut| is checked against closed forms and, where networkx is
@@ -6,6 +7,7 @@ installed, against its VF2 matcher on the simple graphs.
 """
 
 import hashlib
+import itertools
 import random
 from math import factorial
 
@@ -17,8 +19,10 @@ from ckhopf.graphs import (
     HalfEdgeGraph,
     _minimal_code,
     _multigraph,
+    _pack_code,
     _rebuild_canonical,
     _refine_classes,
+    _unpack_code,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -74,8 +78,8 @@ def _petersen_edges():
 
 # (name, vertex count, edges, one leg per vertex, |Aut| in closed form)
 FAMILY = (
-    [(f"C{n}", n, _cycle_edges(n), False, 2 * n) for n in (*range(8, 13), 16)]
-    + [(f"prism{n}", 2 * n, _prism_edges(n), False, 4 * n) for n in (5, 6, 8)]
+    [(f"C{n}", n, _cycle_edges(n), False, 2 * n) for n in (*range(8, 13), 14, 16, 18)]
+    + [(f"prism{n}", 2 * n, _prism_edges(n), False, 4 * n) for n in (5, 6, 7, 8)]
     + [("Q3", 8, _cube_edges(3), False, 48), ("Q4", 16, _cube_edges(4), False, 384)]
     + [("petersen", 10, _petersen_edges(), False, 120)]
     + [(f"C{n}+legs", n, _cycle_edges(n), True, 2 * n) for n in (5, 6, 7, 10)]
@@ -158,10 +162,13 @@ def _largest_twin_class(g):
     """The size of the largest refinement class of g when every class is a
     set of twins, where the canonical form skips its search; else 0."""
     V, ext, loops, mult = _multigraph(g)
-    classes = _refine_classes(V, ext, loops, mult)
+    return _largest_twin_cell(mult, _refine_classes(V, ext, loops, mult))
+
+
+def _largest_twin_cell(mult, classes):
     for cell in classes:
         for w in cell[1:]:
-            if any(mult[cell[0]][x] != mult[w][x] for x in range(V) if x not in (cell[0], w)):
+            if any(mult[cell[0]][x] != mult[w][x] for x in range(len(mult)) if x not in (cell[0], w)):
                 return 0
     return max(map(len, classes), default=0)
 
@@ -274,3 +281,89 @@ def test_canonical_graph_is_the_graph_of_its_key():
         assert not any(isinstance(x, HalfEdgeGraph) for x in tail), tail
     # the packed codes key the code memo, so distinct classes need distinct codes
     assert len(codes) == len(pool)
+
+
+def _brute_minimal_code(V, ext, loops, mult, classes):
+    """The least packed code over every ordering that places the classes in
+    turn, and the number of orderings reaching it, found by trying them all."""
+    best, count = None, 0
+    for parts in itertools.product(*map(itertools.permutations, classes)):
+        order = [v for part in parts for v in part]
+        rows = ([mult[v][u] for u in order[:i]] for i, v in enumerate(order))
+        code = _pack_code(ext, loops, order, rows)
+        if best is None or code < best:
+            best, count = code, 1
+        elif code == best:
+            count += 1
+    return best, count
+
+
+def _random_multigraph(rng):
+    """A seeded vertex multigraph with at most 7 vertices: loops, parallel
+    edges, and external vertices each joined by one edge.  Two in three start
+    as circulants, whose rotations leave classes that are not sets of twins."""
+    n = rng.randint(2, 6)
+    V = rng.randint(n, 7)
+    mult = [[0] * V for _ in range(V)]
+    if rng.random() < 2 / 3:
+        step = [rng.choice([0, 0, 1, 1, 2]) for _ in range(n)]
+        loops = [rng.choice([0, 0, 1])] * n
+        for i in range(n):
+            for d in range(1, n // 2 + 1):
+                j = (i + d) % n
+                mult[i][j] = mult[j][i] = step[d]
+    else:
+        loops = [rng.choice([0, 0, 1, 2]) for _ in range(n)]
+        for i in range(n):
+            for j in range(i):
+                mult[i][j] = mult[j][i] = rng.choice([0, 0, 1, 1, 2])
+    for leg in range(n, V):
+        u = rng.randrange(n)
+        mult[leg][u] += 1
+        mult[u][leg] += 1
+    perm = list(range(V))
+    rng.shuffle(perm)
+    ext = [int(perm[i] >= n) for i in range(V)]
+    loops = [0 if perm[i] >= n else loops[perm[i]] for i in range(V)]
+    mult = [[mult[perm[i]][perm[j]] for j in range(V)] for i in range(V)]
+    return V, ext, loops, mult
+
+
+def _zero_run_meets_a_class_boundary(code, classes):
+    """Whether the code has zero rows at the last two positions of a class and
+    at the first position of the next: a run that the search's zero-row bound
+    must stop at the class boundary."""
+    zero = [not any(row) for _, _, row in _unpack_code(code)]
+    ends = list(itertools.accumulate(map(len, classes)))[:-1]
+    return any(
+        len(cell) >= 2 and zero[p - 2] and zero[p - 1] and zero[p]
+        for cell, p in zip(classes, ends)
+    )
+
+
+def _cases_for_the_oracle():
+    rng = random.Random(28)
+    named = [
+        *(_simple_graph(n, _cycle_edges(n)) for n in range(4, 9)),
+        _simple_graph(4, list(itertools.combinations(range(4), 2))),  # K4
+        _simple_graph(6, [(i, j) for i in range(3) for j in range(3, 6)]),  # K3,3
+        _simple_graph(6, _prism_edges(3)),
+        _simple_graph(8, _prism_edges(4)),
+        _simple_graph(8, _cube_edges(3)),
+    ]
+    cases = [_multigraph(g) for g in named]
+    cases += [_random_multigraph(rng) for _ in range(300)]
+    return [(V, ext, loops, mult, _refine_classes(V, ext, loops, mult)) for V, ext, loops, mult in cases]
+
+
+def test_minimal_code_agrees_with_trying_every_ordering():
+    # the search prunes by rows, by orbits of automorphisms and by a bound on
+    # zero rows; trying every ordering does none of that
+    searched = several_classes = crossing = 0
+    for V, ext, loops, mult, classes in _cases_for_the_oracle():
+        code, count = _brute_minimal_code(V, ext, loops, mult, classes)
+        assert _minimal_code(V, ext, loops, mult, classes) == (code, count), (mult, classes)
+        searched += _largest_twin_cell(mult, classes) == 0
+        several_classes += len(classes) > 1 and any(len(cell) > 1 for cell in classes)
+        crossing += _zero_run_meets_a_class_boundary(code, classes)
+    assert searched >= 100 and several_classes >= 150 and crossing >= 15
