@@ -360,14 +360,6 @@ def _minimal_code(V, ext, loops, mult, classes):
     automorphism is kept with the points it moves, and a node with one
     least-row candidate is walked without orbit bookkeeping.
 
-    Zero-row bound: when ``best`` has zero rows at positions pos..z-1 of the
-    current class, a completion matches it there only by placing z - pos
-    vertices whose rows are zero now and that have no edges among them.  An
-    edge of a matching holds at most one vertex of such a set, so if the
-    zero-row candidates less a greedy maximal matching among them are fewer
-    than z - pos, no leaf below equals ``best`` (and none is less, since zero
-    is the least row): the node counts 0 and loses no automorphism.
-
     When every class is a set of twins (equal multiplicities to every other
     vertex), there is no search.  Equitable refinement commutes with
     automorphisms and every permutation inside a twin class is one, so the
@@ -392,16 +384,11 @@ def _minimal_code(V, ext, loops, mult, classes):
                     gens.append(([w if x == v else v if x == w else x for x in range(V)], {v, w}))
                     break
     base = max(map(max, mult)) + 1
-    cell_at: list[list[int]] = []  # position -> its class
-    cell_end: list[int] = []  # position -> the end of its class's positions
-    for cell in classes:
-        cell_at += [cell] * len(cell)
-        cell_end += [len(cell_at)] * len(cell)
+    cell_at = [cell for cell in classes for _ in cell]
     best: list[int] = []  # packed rows of the least code; the placed prefix matches it
     first: list[int] = []  # the first ordering that reached ``best``
     order: list[int] = []
     stamp = 0  # bumped whenever ``best`` is cut back to a lesser row
-    run_end = [0] * V  # position -> the end of best's zero rows from there
 
     def rec(rows: dict[int, int]):
         # rows: unplaced vertex of the class -> packed multiplicities to the
@@ -414,8 +401,6 @@ def _minimal_code(V, ext, loops, mult, classes):
                 if pos == V:
                     if not first:
                         first.extend(order)
-                        for p in reversed(range(V)):
-                            run_end[p] = p if best[p] else run_end[p + 1] if p + 1 < cell_end[p] else p + 1
                         return stamp, 1
                     image = dict(zip(first, order))
                     g = [image[x] for x in range(V)]
@@ -438,20 +423,6 @@ def _minimal_code(V, ext, loops, mult, classes):
                     first.clear()
                     stamp += 1
                 cands = [v for v, row in rows.items() if row == low]
-                # the zero-row bound; ``first`` is set only while ``best`` is a whole code
-                if low == 0 and first and len(cands) < 2 * (run_end[pos] - pos) - 1:
-                    free = set(cands)
-                    pairs = 0
-                    for v in cands:
-                        if v in free:
-                            free.discard(v)
-                            for w in cands:
-                                if mult[v][w] and w in free:
-                                    free.discard(w)
-                                    pairs += 1
-                                    break
-                    if len(cands) - pairs < run_end[pos] - pos:
-                        return stamp, 0
                 if len(cands) > 1:
                     break
                 v = cands[0]

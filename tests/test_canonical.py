@@ -22,7 +22,6 @@ from ckhopf.graphs import (
     _pack_code,
     _rebuild_canonical,
     _refine_classes,
-    _unpack_code,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -78,7 +77,7 @@ def _petersen_edges():
 
 # (name, vertex count, edges, one leg per vertex, |Aut| in closed form)
 FAMILY = (
-    [(f"C{n}", n, _cycle_edges(n), False, 2 * n) for n in (*range(8, 13), 14, 16, 18)]
+    [(f"C{n}", n, _cycle_edges(n), False, 2 * n) for n in (*range(8, 13), 14, 16)]
     + [(f"prism{n}", 2 * n, _prism_edges(n), False, 4 * n) for n in (5, 6, 7, 8)]
     + [("Q3", 8, _cube_edges(3), False, 48), ("Q4", 16, _cube_edges(4), False, 384)]
     + [("petersen", 10, _petersen_edges(), False, 120)]
@@ -329,18 +328,6 @@ def _random_multigraph(rng):
     return V, ext, loops, mult
 
 
-def _zero_run_meets_a_class_boundary(code, classes):
-    """Whether the code has zero rows at the last two positions of a class and
-    at the first position of the next: a run that the search's zero-row bound
-    must stop at the class boundary."""
-    zero = [not any(row) for _, _, row in _unpack_code(code)]
-    ends = list(itertools.accumulate(map(len, classes)))[:-1]
-    return any(
-        len(cell) >= 2 and zero[p - 2] and zero[p - 1] and zero[p]
-        for cell, p in zip(classes, ends)
-    )
-
-
 def _cases_for_the_oracle():
     rng = random.Random(28)
     named = [
@@ -357,13 +344,12 @@ def _cases_for_the_oracle():
 
 
 def test_minimal_code_agrees_with_trying_every_ordering():
-    # the search prunes by rows, by orbits of automorphisms and by a bound on
-    # zero rows; trying every ordering does none of that
-    searched = several_classes = crossing = 0
+    # the search prunes by rows and by orbits of automorphisms; trying every
+    # ordering does neither
+    searched = several_classes = 0
     for V, ext, loops, mult, classes in _cases_for_the_oracle():
         code, count = _brute_minimal_code(V, ext, loops, mult, classes)
         assert _minimal_code(V, ext, loops, mult, classes) == (code, count), (mult, classes)
         searched += _largest_twin_cell(mult, classes) == 0
         several_classes += len(classes) > 1 and any(len(cell) > 1 for cell in classes)
-        crossing += _zero_run_meets_a_class_boundary(code, classes)
-    assert searched >= 100 and several_classes >= 150 and crossing >= 15
+    assert searched >= 100 and several_classes >= 150
