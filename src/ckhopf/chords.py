@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .graphs import HalfEdgeGraph, canonical_form
-from .poly import SparseVector
+from .vector import SparseVector
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .corpus import NAMED_BUILDERS, name_by_key, named_graph
 from .errors import CKHopfError, InvalidInput
 from .graphs import (
     HalfEdgeGraph,
-    _is_index,
     automorphism_count,
     canonical_key,
     contract_subgraph,
@@ -41,7 +40,9 @@ from .serialize import (
     poly_to_doc,
     tensor_poly_to_doc,
 )
-from .tensors import InvariantTensor, PairTensor, phi, psi, tensor_delta
+from .tensor_algebra import InvariantTensor, PairTensor, tensor_delta
+from .tensors import phi, psi
+from .vector import _is_index
 from .verify import VerificationReport, run_suite, suite_names
 
 
@@ -244,7 +245,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_count, default=4)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--full-subgraph-term", action="store_true")
-    p.add_argument("--prelie-samples", type=_count, default=200)
     common(p)
 
     return top
@@ -273,7 +273,7 @@ _COMMANDS = {
     "delta": lambda a: tensor_delta(_load_tensor(a.tensor), a.m, a.n),
     "verify": lambda a: run_suite(
         a.suite, max_edges=a.max_edges, dim=a.dim, seed=a.seed,
-        full_subgraph_term=a.full_subgraph_term, prelie_samples=a.prelie_samples,
+        full_subgraph_term=a.full_subgraph_term,
     ),
 }
 

@@ -32,6 +32,7 @@ from .errors import (
     OverlappingPartition,
     ResourceBound,
 )
+from .vector import _is_index
 
 
 class GradeTriple(NamedTuple):
@@ -541,11 +542,6 @@ def _is_label(h: object) -> bool:
 
 def _is_label_list(part: object) -> bool:
     return isinstance(part, list) and all(map(_is_label, part))
-
-
-def _is_index(i: object) -> bool:
-    """An int but not a bool: the integer check of every input boundary."""
-    return isinstance(i, int) and not isinstance(i, bool)
 
 
 def from_json_dict(doc: dict) -> HalfEdgeGraph:

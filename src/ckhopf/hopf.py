@@ -33,19 +33,8 @@ from .graphs import (
     extract_subgraph,
     monomial_key,
 )
-from .poly import (
-    EMPTY_KEY,
-    GraphPoly,
-    GraphTensorPoly,
-    Key,
-    Scalar,
-    SparseVector,
-    _frac,
-    grade_of,
-    graph_from_key,
-    linear_combination,
-    product,
-)
+from .poly import EMPTY_KEY, GraphPoly, GraphTensorPoly, Key, grade_of, graph_from_key, product
+from .vector import Scalar, SparseVector, _frac, linear_combination
 from . import insertion
 
 

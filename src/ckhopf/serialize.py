@@ -13,9 +13,10 @@ import re
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .graphs import _is_index, from_json_dict, to_json_dict
+from .graphs import from_json_dict, to_json_dict
 from .poly import GraphPoly, GraphTensorPoly
-from .tensors import InvariantTensor
+from .tensor_algebra import InvariantTensor
+from .vector import _is_index
 
 graph_to_doc = to_json_dict
 graph_from_doc = from_json_dict

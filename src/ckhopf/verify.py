@@ -39,21 +39,20 @@ from .graphs import (
     written_key,
 )
 from .oracles import oracle_aut, oracle_enumerate, oracle_iso
-from .poly import EMPTY_KEY, GraphPoly, grade_of, linear_combination, product
+from .poly import EMPTY_KEY, GraphPoly, grade_of, product
 from .serialize import poly_to_doc
-from .tensors import (
+from .tensor_algebra import (
     InvariantTensor,
     PairTensor,
     apply_signed_permutation,
-    phi,
-    phi_poly,
     project,
     project_to,
-    psi,
     tensor_delta,
     tensor_mul,
     tensor_prelie,
 )
+from .tensors import phi, phi_poly, psi
+from .vector import linear_combination
 
 
 @dataclass
@@ -357,16 +356,9 @@ def _suite_duality(r: VerificationReport, max_edges: int, **_):
 # ---------------------------------------------------------------------------
 # pre-Lie suite
 
-
-def _check_prelie_triple(triple):
-    (a, pa), (b, pb), (c, pc) = triple
-    return None if insertion.prelie_check(pa, pb, pc) else _docs(a, b, c)
-
-
-def _with_polys(triples):
-    """Each triple of graphs as (graph, GraphPoly) pairs."""
-    for triple in triples:
-        yield tuple((g, GraphPoly.from_graph(g)) for g in triple)
+# seeded triples of 4-edge graphs in associator-right-symmetry-random-4edge,
+# recorded in the report's params
+PRELIE_SAMPLES = 200
 
 
 def _right_symmetry_triples(n: int):
@@ -385,7 +377,7 @@ def _right_symmetry_triples(n: int):
 
 
 def _right_symmetry_check(graphs: list[HalfEdgeGraph]):
-    """The predicate of the exhaustive right-symmetry check on positions in
+    """The predicate of the right-symmetry checks on positions in
     ``graphs``.  It fills a table of the pool's products x o y on first use,
     so a triple makes 4 insertion products instead of 8, in the order
     ``insertion.associator`` makes them."""
@@ -429,25 +421,23 @@ def _check_insertion_grading(pair):
     return None
 
 
-def _suite_prelie(r: VerificationReport, max_edges: int, seed: int, prelie_samples: int, **_):
+def _suite_prelie(r: VerificationReport, max_edges: int, seed: int, **_):
     small = [g for g in connected_corpus(max_edges) if g.grade().m <= 2]
     triples = _right_symmetry_triples(len(small))
     _run(r, "associator-right-symmetry-exhaustive", triples, _right_symmetry_check(small))
 
     rng = random.Random(seed)
     four = enumerate_graphs(4, "connected_plus")
-    sampled = [
-        (rng.choice(four), rng.choice(four), rng.choice(four))
-        for _ in range(prelie_samples)
-    ]
-    _run(r, "associator-right-symmetry-random-4edge", _with_polys(sampled), _check_prelie_triple)
+    # randrange(len(four)) draws what rng.choice(four) draws
+    sampled = [tuple(rng.randrange(len(four)) for _ in range(3)) for _ in range(PRELIE_SAMPLES)]
+    _run(r, "associator-right-symmetry-random-4edge", sampled, _right_symmetry_check(four))
 
     plus = connected_corpus(max_edges)
     pairs = [(g1, g2) for g1 in plus for g2 in plus]
     _run(r, "insertion-grade-law", pairs, _check_insertion_grading)
 
     jac = [(a, b, c) for a in small[:8] for b in small[:8] for c in small[:8]]
-    jac += [sampled[i] for i in range(0, len(sampled), 10)]
+    jac += [tuple(four[x] for x in triple) for triple in sampled[::10]]
     _run(r, "jacobi-identity", jac, _check_jacobi)
 
 
@@ -804,12 +794,11 @@ def run_suite(
     dim: int = 4,
     seed: int = 7,
     full_subgraph_term: bool = False,
-    prelie_samples: int = 200,
 ) -> VerificationReport:
     """Run one named suite (or ``all``) and return its report."""
     if name != "all" and name not in _SUITES:
         raise InvalidInput(f"unknown suite {name!r}; choose from {suite_names()}")
-    counts = {"max_edges": max_edges, "dim": dim, "prelie_samples": prelie_samples}
+    counts = {"max_edges": max_edges, "dim": dim}
     for flag, value in counts.items():
         if value < 0:
             raise InvalidInput(f"{flag} must be a non-negative integer, not {value}")
@@ -822,7 +811,7 @@ def run_suite(
         "full_subgraph_term": full_subgraph_term,
     }
     if name in ("prelie", "all"):
-        params["prelie_samples"] = prelie_samples
+        params["prelie_samples"] = PRELIE_SAMPLES
     report = VerificationReport(suite=name, params=params)
     targets = _SUITES.values() if name == "all" else [_SUITES[name]]
     for fn in targets:
@@ -833,7 +822,6 @@ def run_suite(
                 dim=dim,
                 seed=seed,
                 full_subgraph_term=full_subgraph_term,
-                prelie_samples=prelie_samples,
             )
         finally:
             # the algebra memos serve the suite that filled them

@@ -49,7 +49,7 @@ def test_criterion_3_duality_insertion():
 
 def test_criterion_4_prelie_axiom():
     # exhaustive <= 2 internal edges, 200 seeded random 4-edge triples, Jacobi
-    _run(4, "prelie", "pre-Lie associator symmetry and Jacobi", prelie_samples=200)
+    _run(4, "prelie", "pre-Lie associator symmetry and Jacobi")
 
 
 def test_criterion_5_invariant_theory():

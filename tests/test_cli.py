@@ -357,7 +357,6 @@ def test_contract_arbitrary_json_exits_0_or_2(tmp_path_factory, doc, edges):
         ["delta", str(GOLDEN / "phi_bubble_4.json"), "--m", "5", "--n", "-1"],
         ["verify", "--suite", "grading", "--max-edges", "-1"],
         ["verify", "--suite", "grading", "--dim", "-1"],
-        ["verify", "--suite", "prelie", "--max-edges", "1", "--prelie-samples", "-1"],
     ],
 )
 def test_negative_count_flag_exits_2(capsys, argv):

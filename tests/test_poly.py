@@ -4,8 +4,9 @@ import pytest
 
 from ckhopf.chords import RawTensor
 from ckhopf.errors import DimensionMismatch
-from ckhopf.poly import GraphPoly, GraphTensorPoly, SparseVector, linear_combination, sym
+from ckhopf.poly import GraphPoly, GraphTensorPoly
 from ckhopf.tensors import InvariantTensor, PairTensor
+from ckhopf.vector import SparseVector, linear_combination, sym
 
 
 def test_poly_name_is_the_module():

@@ -38,11 +38,11 @@ from ckhopf.graphs import (
 )
 from ckhopf.insertion import insertion_product
 from ckhopf.poly import GraphPoly, linear_combination
+from ckhopf.tensor_algebra import _norm_term
 from ckhopf.tensors import (
     InvariantTensor,
     PairTensor,
     _cut,
-    _norm_term,
     _orbit_size,
     _phi_cached,
     apply_signed_permutation,

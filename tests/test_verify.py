@@ -140,7 +140,7 @@ def test_main_theorem_passes_on_the_empty_window():
     assert main(["verify", "--suite", "all", "--max-edges", "0"]) == 0
 
 
-@pytest.mark.parametrize("param", ["max_edges", "dim", "prelie_samples"])
+@pytest.mark.parametrize("param", ["max_edges", "dim"])
 def test_negative_window_is_invalid_input(param):
     with pytest.raises(InvalidInput, match=param):
         run_suite("all", **{param: -1})
