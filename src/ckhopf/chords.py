@@ -22,7 +22,7 @@ from .errors import (
     ResourceBound,
     ShapeMismatch,
 )
-from .graphs import HalfEdgeGraph, canonical_form
+from .graphs import HalfEdgeGraph, canonical_key, graph_from_key
 from .vector import SparseVector
 
 
@@ -196,9 +196,15 @@ def chord_from_graph(g: HalfEdgeGraph) -> tuple[BlockShape, ChordDiagram]:
 
     Graphs with empty vertices have no block presentation (blocks are nonempty).
     """
-    if g.n_empty:
+    return chord_from_key(canonical_key(g))
+
+
+def chord_from_key(key: bytes) -> tuple[BlockShape, ChordDiagram]:
+    """``chord_from_graph`` of the graph with canonical key ``key``, read off
+    the canonical graph that the key parses to: nothing is canonicalized."""
+    canon = graph_from_key(key)
+    if canon.n_empty:
         raise EmptyVertexUnsupported("empty vertices admit no chord presentation")
-    _, canon = canonical_form(g)
     internal_vertices = canon.internal_vertices()
     layout = [h for v in internal_vertices for h in v] + list(canon.external)
     position = {h: i + 1 for i, h in enumerate(layout)}

@@ -267,12 +267,16 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 # is not kept: ``canonical_form`` parses the key back with
 # ``graph_from_key``, which gives the same graph.
 #
-# ``_class_of`` does all of this for a multigraph given directly, and only
-# ``_canonical`` memoizes it per labelled graph.  The insertion product sum
-# builds each graft's vertex multigraph without a labelled graph and hands it
-# to ``_class_of``, so no graft enters the ``_canonical`` memo; only
-# ``insertion.insert_at`` builds labelled grafts, and a graft reads only the
-# monomial key.
+# ``_class_of`` does all of this for a multigraph given directly, and
+# ``_class_of_graph`` for a labelled graph; only ``_canonical`` memoizes it
+# per labelled graph, and serves the graphs that callers hold and ask about
+# again.  A graph built for one canonical form and then dropped skips that
+# memo: the insertion product sum hands each graft's vertex multigraph to
+# ``_class_of`` without building a labelled graph (only
+# ``insertion.insert_at`` builds labelled grafts), and the coproduct's
+# extracted and contracted pieces, the graphs grown by ``_augment``, the
+# disjoint union behind ``written_key`` and the chord-diagram graph of each
+# block multigraph in ``psi``'s tables go through ``_class_of_graph``.
 
 
 def _multigraph(g: HalfEdgeGraph):
@@ -577,9 +581,15 @@ def _class_of(V, ext, loops, mult, n_empty: int) -> tuple[bytes, int, tuple[byte
     return key, aut_mg * aut_edges, parts
 
 
+def _class_of_graph(g: HalfEdgeGraph) -> tuple[bytes, int, tuple[bytes, ...]]:
+    """``_class_of`` a labelled graph, with no entry in the ``_canonical``
+    memo: for a graph built for one canonical form and then dropped."""
+    return _class_of(*_multigraph(g), g.n_empty)
+
+
 @memo.cache(memo.PROCESS)
 def _canonical(g: HalfEdgeGraph) -> tuple[bytes, int, tuple[bytes, ...]]:
-    return _class_of(*_multigraph(g), g.n_empty)
+    return _class_of_graph(g)
 
 
 @memo.cache(memo.PROCESS)
@@ -622,7 +632,14 @@ def written_key(key: tuple[bytes, ...]) -> bytes:
     canonical key of the disjoint union of its parts."""
     if len(key) == 1:
         return key[0]
-    return canonical_key(reduce(disjoint_union, map(graph_from_key, key), EMPTY_GRAPH))
+    return _union_key(key)
+
+
+@memo.cache(memo.PROCESS)
+def _union_key(key: tuple[bytes, ...]) -> bytes:
+    """The canonical key of the disjoint union of the parts of a monomial key
+    other than a single part; the union is built, read and dropped."""
+    return _class_of_graph(reduce(disjoint_union, map(graph_from_key, key), EMPTY_GRAPH))[0]
 
 
 @memo.cache(memo.PROCESS)
@@ -820,7 +837,7 @@ def _augment(m: int, k: int, budget: _Budget) -> list[HalfEdgeGraph]:
     keys: set[bytes] = set()
     for g in grown:
         budget.spend()
-        keys.add(canonical_key(g))
+        keys.add(_class_of_graph(g)[0])
     return [graph_from_key(key) for key in sorted(keys)]
 
 

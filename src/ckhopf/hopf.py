@@ -5,6 +5,9 @@ extract(gamma) (x) G/gamma over subgraphs gamma, and a monomial (see ``poly``)
 to the product over its connected parts; so does the antipode.  By default
 gamma ranges over the nonempty proper subsets of the internal edges;
 ``full_subgraph_term`` adds the full set, a variant kept only for diagnostics.
+Each extracted and contracted piece is read for its monomial key through
+``graphs._class_of_graph`` and dropped, so none enters the labelled
+canonical memo.
 
 The star product is the dual of the coproduct under the pairing weighted by
 automorphism counts: |Aut G| <a * b, G> = |Aut a| |Aut b| times the
@@ -28,10 +31,10 @@ from . import memo
 from .errors import InvalidInput
 from .graphs import (
     EMPTY_VERTEX,
+    _class_of_graph,
     canonical_key,
     contract_subgraph,
     extract_subgraph,
-    monomial_key,
 )
 from .poly import EMPTY_KEY, GraphPoly, GraphTensorPoly, Key, grade_of, graph_from_key, product
 from .vector import Scalar, SparseVector, _frac, linear_combination
@@ -55,7 +58,7 @@ def _coproduct_connected(part: bytes, full: bool) -> GraphTensorPoly:
     top = len(internal) if full else len(internal) - 1
     terms = Counter([(EMPTY_KEY, (part,)), ((part,), EMPTY_KEY)])
     terms.update(
-        (monomial_key(extract_subgraph(g, gamma)), monomial_key(contract_subgraph(g, gamma)))
+        (_class_of_graph(extract_subgraph(g, gamma))[2], _class_of_graph(contract_subgraph(g, gamma))[2])
         for r in range(1, top + 1)
         for gamma in itertools.combinations(internal, r)
     )

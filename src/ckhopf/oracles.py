@@ -39,6 +39,10 @@ def _search(g1: HalfEdgeGraph, g2: HalfEdgeGraph, count_all: bool) -> int:
 
     p1, v1, s1, e1 = _tables(g1)
     p2, v2, s2, e2 = _tables(g2)
+    # a bijection keeps each half-edge's vertex size, so the sorted sizes,
+    # which list every vertex valency once per half-edge, must agree
+    if sorted(s1.values()) != sorted(s2.values()):
+        return 0
 
     image: dict[int, int] = {}
     used: set[int] = set()

@@ -10,7 +10,10 @@ beta_c's words.  It sorts each raw slice of a word (the part that belongs to
 one block or to the external monomial) once per call and takes the sorted
 tuple from one shared table, so the terms of every tensor share one
 tuple per distinct sorted block or external monomial; the tensors themselves
-are still computed and stored per n.  ``psi`` inverts it by evaluating an
+are still computed and stored per n.  ``phi`` is a map on isomorphism
+classes, so its tensors are memoized per canonical key and n: relabellings
+share one, and a miss reads the block presentation off the key without a
+second canonical form.  ``psi`` inverts it by evaluating an
 invariant lift against the coinvariants z_c.  The lift of a term averages its
 words over the group that reorders each block, the blocks of equal size and
 the external monomial, so its value on one word is the coefficient of the
@@ -39,13 +42,13 @@ from .chords import (
     BlockShape,
     RawTensor,
     _check_assignments,
-    chord_from_graph,
+    chord_from_key,
     enumerate_chords,
     graph_from_chord,
     z_words,
 )
 from .errors import ShapeMismatch
-from .graphs import HalfEdgeGraph, monomial_key
+from .graphs import HalfEdgeGraph, _class_of_graph, canonical_key
 from .poly import GraphPoly, Key
 from .tensor_algebra import (
     InvariantTensor,
@@ -95,8 +98,9 @@ class _SortedSlices(dict):
 
 
 @memo.cache(memo.SUITE)
-def _phi_cached(g: HalfEdgeGraph, n: int) -> InvariantTensor:
-    shape, c = chord_from_graph(g)
+def _phi_cached(key: bytes, n: int) -> InvariantTensor:
+    """``phi`` of the class with canonical key ``key``, one entry per class."""
+    shape, c = chord_from_key(key)
     _check_assignments(n, c.size)
     chord_of = c.chord_of()
     # the word of an assignment a: a[r] at both ends of the r-th chord
@@ -126,13 +130,17 @@ def phi(g: HalfEdgeGraph, n: int) -> InvariantTensor:
     ``chord_from_graph(g)``, but each of the n**N index assignments goes
     straight to its normal-form term, and the coefficient of a term is the
     number of assignments that reach it.  More than 2**22 assignments raise
-    ResourceBound before any is enumerated.
+    ResourceBound before any is enumerated.  ``phi`` is a map on classes, so
+    the tensor is memoized by canonical key: every relabelling of g shares it.
     """
-    return _phi_cached(g, n)
+    return _phi_cached(canonical_key(g), n)
 
 
 def phi_poly(p: GraphPoly, n: int) -> InvariantTensor:
-    return linear_combination(((phi(g, n), c) for g, c in p.graphs()), InvariantTensor(n))
+    """``phi`` of each term, looked up by its written key."""
+    return linear_combination(
+        ((_phi_cached(key, n), c) for key, c in p.written_terms()), InvariantTensor(n)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +182,9 @@ class _ShapeTable(dict):
     (monomial key, orbit size) or None].  The last is filled in when a tensor
     first holds the term: terms with one block multigraph give isomorphic
     graphs and have one orbit size, so they share one pair, and a block
-    multigraph costs one canonical form in the process."""
+    multigraph costs one canonical form per table.  The graph of the chord
+    diagram is built for that form and dropped, so it skips the labelled
+    canonical memo."""
 
     __slots__ = ("shape", "groups")
 
@@ -189,7 +199,7 @@ class _ShapeTable(dict):
         group = self.groups.get(multigraph)
         if group is None:
             graph = graph_from_chord(self.shape, entry[1])
-            group = self.groups[multigraph] = (monomial_key(graph), _orbit_size(term))
+            group = self.groups[multigraph] = (_class_of_graph(graph)[2], _orbit_size(term))
         entry[2] = group
         return group
 

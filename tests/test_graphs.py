@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckhopf import memo
+from ckhopf import graphs, memo, oracles
 from ckhopf.errors import (
     DanglingHalfEdge,
     EmptySubgraph,
@@ -18,6 +18,7 @@ from ckhopf.graphs import (
     EMPTY_GRAPH,
     GradeTriple,
     HalfEdgeGraph,
+    _class_of_graph,
     automorphism_count,
     canonical_form,
     canonical_key,
@@ -32,13 +33,17 @@ from ckhopf.graphs import (
     extract_subgraph,
     free_propagator,
     graph,
+    graph_from_key,
     is_connected,
     is_isomorphic,
+    monomial_key,
     relabel,
     validate,
+    written_key,
 )
 from ckhopf.corpus import named_graph
 from ckhopf.oracles import oracle_aut, oracle_enumerate, oracle_iso
+from test_canonical import _relabelled
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +336,41 @@ def test_dot_graphs():
         assert is_connected(d)
 
 
+def test_enumeration_canonicalizes_grown_graphs_without_the_labelled_memo(monkeypatch):
+    memo.clear()
+    seen = []
+    memoized = graphs._canonical
+
+    def recording(g):
+        seen.append(g)
+        return memoized(g)
+
+    monkeypatch.setattr(graphs, "_canonical", recording)
+    assert len(enumerate_graphs(5)) == 1147
+    # only canonical class graphs, which callers hold, reach the memo
+    assert seen and all(g == graph_from_key(_class_of_graph(g)[0]) for g in seen)
+    monkeypatch.undo()
+    assert graphs._canonical.cache_info().currsize == len(set(seen))
+    rng = random.Random(30)
+    for n in range(5):
+        for g in enumerate_graphs(n):
+            assert _class_of_graph(_relabelled(g, rng)) == graphs._canonical(g)
+
+
+def test_written_key_canonicalizes_unions_without_the_labelled_memo():
+    classes = [g for n in range(5) for g in enumerate_graphs(n)]
+    pairs = [(monomial_key(g), canonical_key(g)) for g in classes]
+    several = [(key, want) for key, want in pairs if len(key) > 1]
+    assert sum(len(key) == 2 for key, _ in several) > 50
+    graphs._union_key.cache_clear()
+    before = graphs._canonical.cache_info().currsize
+    for key, want in several:
+        assert written_key(key) == want
+    assert graphs._canonical.cache_info().currsize == before
+    assert graphs._union_key.cache_info().currsize == len(several)
+    assert [written_key(key) for key, _ in pairs] == [want for _, want in pairs]
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 
@@ -434,6 +474,35 @@ def test_canonicalization_fuzz_against_oracle():
             if g1.n_half_edges != g2.n_half_edges or g1.n_half_edges > 10:
                 continue
             assert oracle_iso(g1, g2) == (canonical_key(g1) == canonical_key(g2))
+
+
+def test_oracle_search_runs_on_a_non_isomorphic_pair_with_equal_valencies(monkeypatch):
+    # the search reads a half-edge's vertex size for every candidate image
+    lookups = []
+    tables = oracles._tables
+
+    class Sizes(dict):
+        def __getitem__(self, h):
+            lookups.append(h)
+            return super().__getitem__(h)
+
+    def counted(g):
+        partner, vert_of, vsize, vext = tables(g)
+        return partner, vert_of, Sizes(vsize), vext
+
+    monkeypatch.setattr(oracles, "_tables", counted)
+    edges = [(0, 1), (2, 3)]
+    bubble = graph(edges=edges, vertices=[(0, 2), (1, 3)])
+    two_loops = graph(edges=edges, vertices=[(0, 1), (2, 3)])
+    tadpole = graph(edges=edges, vertices=[(0, 1, 2), (3,)])
+    assert bubble.grade() == two_loops.grade() == tadpole.grade()
+    # both have two 2-valent vertices: only the search tells them apart
+    assert not oracle_iso(bubble, two_loops)
+    assert lookups
+    lookups.clear()
+    # valencies 2, 2 against 3, 1: no bijection is tried
+    assert not oracle_iso(bubble, tadpole)
+    assert not lookups
 
 
 def test_budget_env_var(monkeypatch):

@@ -1,17 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
-from ckhopf import hopf
+from ckhopf import graphs, hopf, memo
 from ckhopf.corpus import connected_corpus, named_graph
 from ckhopf.errors import InvalidInput
 from ckhopf.graphs import (
     EMPTY_VERTEX,
     automorphism_count,
+    canonical_key,
+    contract_subgraph,
     disjoint_union,
     dot_graph,
     enumerate_graphs,
+    extract_subgraph,
     free_propagator,
     graph_from_key,
     monomial_key,
@@ -83,6 +88,25 @@ def test_coproduct_grading_window():
                 g1, g2 = grade_of(k1), grade_of(k2)
                 assert g1.m + g2.m == gr.m
                 assert gr.n <= g1.n + g2.n <= 3 * gr.n
+
+
+def test_coproduct_pieces_skip_the_labelled_canonical_memo():
+    parts = [canonical_key(g) for n in range(1, 5) for g in enumerate_graphs(n, "connected")]
+    memo.clear(memo.SUITE)
+    before = graphs._canonical.cache_info().currsize
+    got = {(part, full): hopf._coproduct_connected(part, full) for part in parts for full in (False, True)}
+    assert graphs._canonical.cache_info().currsize == before
+    # the same terms as the monomial keys of the labelled pieces
+    for (part, full), d in got.items():
+        g = graph_from_key(part)
+        internal = g.internal_edges()
+        want = Counter([(EMPTY_KEY, (part,)), ((part,), EMPTY_KEY)])
+        want.update(
+            (K(extract_subgraph(g, gamma)), K(contract_subgraph(g, gamma)))
+            for r in range(1, len(internal) + full)
+            for gamma in combinations(internal, r)
+        )
+        assert d == GraphTensorPoly({pair: Fraction(m) for pair, m in want.items()}), (part, full)
 
 
 def test_counit():

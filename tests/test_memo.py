@@ -23,6 +23,7 @@ LIFETIMES = {
         "graphs._GRADE_CACHE",
         "graphs._canonical",
         "graphs._code_tail",
+        "graphs._union_key",
         "graphs.graph_from_key",
     },
     memo.SUITE: {
@@ -52,7 +53,7 @@ def _registered() -> set[int]:
 def test_each_memo_has_its_lifetime():
     for lifetime, names in LIFETIMES.items():
         assert set(memo.sizes(lifetime)) == names, lifetime
-    assert len(memo.sizes()) == 19
+    assert len(memo.sizes()) == 20
 
 
 def test_every_lru_cache_in_the_package_is_registered():
@@ -62,7 +63,7 @@ def test_every_lru_cache_in_the_package_is_registered():
         for attr, val in vars(mod).items()
         if callable(getattr(val, "cache_info", None)) and getattr(val, "__module__", None) == mod.__name__
     }
-    assert len(caches) == 16
+    assert len(caches) == 17
     registered = _registered()
     assert not [name for name, val in caches.items() if id(val) not in registered]
 

@@ -6,7 +6,7 @@ from itertools import accumulate, chain, permutations, product as iproduct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ckhopf import chords, memo, tensors as tensors_module
+from ckhopf import chords, graphs as graphs_module, memo, tensors as tensors_module
 from ckhopf.chords import (
     BlockShape,
     ChordDiagram,
@@ -22,12 +22,15 @@ from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus, default_corpus, named_graph
 from ckhopf.errors import (
     DimensionMismatch,
+    EmptyVertexUnsupported,
     InhomogeneousInput,
     InvalidInput,
     NotInLPlus,
     ResourceBound,
 )
 from ckhopf.graphs import (
+    EMPTY_VERTEX,
+    canonical_key,
     disjoint_union,
     dot_graph,
     enumerate_by_grade,
@@ -781,7 +784,7 @@ def test_phi_terms_share_one_tuple_per_block_and_external_monomial():
     seen: dict = {}
     for g, h in _phi_cases()[::7]:
         for n in (2, 3, 4):
-            for part in chain(_parts(fresh(g, n)), _parts(fresh(h, n))):
+            for part in chain(_parts(fresh(canonical_key(g), n)), _parts(fresh(canonical_key(h), n))):
                 seen.setdefault(part, part)
                 assert seen[part] is part, part
     assert {len(part) for part in seen} >= {0, 1, 2, 3, 4}
@@ -793,7 +796,7 @@ def test_phi_does_not_depend_on_the_shared_table_being_warm():
     cold = [(n, phi(h, n)) for h, n in cases]
     # computed again past the phi memo, with the shared table warm
     fresh = _phi_cached.__wrapped__
-    warm = [(n, fresh(h, n)) for h, n in cases]
+    warm = [(n, fresh(canonical_key(h), n)) for h, n in cases]
     assert warm == cold
     for t in (cold, warm):
         lines = [f"{n} {list(tn.terms())!r}" for n, tn in t]
@@ -824,11 +827,11 @@ def test_phi_and_beta_share_the_assignment_bound(monkeypatch):
     shape, c = chord_from_graph(theta)
     monkeypatch.setattr(chords, "_MAX_WORDS", 8)
     # the memo is bypassed, so a tensor cached earlier cannot hide the bound
-    assert _phi_cached.__wrapped__(theta, 2) == block_symmetrize(beta(c, 2), shape)
+    assert _phi_cached.__wrapped__(canonical_key(theta), 2) == block_symmetrize(beta(c, 2), shape)
     with pytest.raises(ResourceBound):
         beta(c, 3)
     with pytest.raises(ResourceBound):
-        _phi_cached.__wrapped__(theta, 3)
+        _phi_cached.__wrapped__(canonical_key(theta), 3)
 
 
 def test_phi_raises_resource_bound_before_enumerating(monkeypatch):
@@ -839,6 +842,48 @@ def test_phi_raises_resource_bound_before_enumerating(monkeypatch):
     with pytest.raises(ResourceBound):
         phi(named_graph("theta"), 100000)
     assert main(["phi", "theta", "--dim", "100000"]) == 2
+
+
+def test_phi_keeps_one_tensor_per_class():
+    memo.clear(memo.SUITE)
+    cases = _phi_cases()[::5]
+    assert sum(g != h for g, h in cases) > len(cases) // 2
+    for g, h in cases:
+        assert phi(g, 2) is phi(h, 2)
+    assert _phi_cached.cache_info().currsize == len(cases)
+    # the two orders of a disjoint union are two labelled graphs of one class
+    a, b = named_graph("theta"), named_graph("twoleg")
+    assert disjoint_union(a, b) != disjoint_union(b, a)
+    memo.clear(memo.SUITE)
+    assert phi(disjoint_union(a, b), 3) is phi(disjoint_union(b, a), 3)
+    assert _phi_cached.cache_info().currsize == 1
+
+
+def test_phi_memoizes_no_refusal():
+    memo.clear(memo.SUITE)
+    with pytest.raises(EmptyVertexUnsupported):
+        phi(disjoint_union(named_graph("loop1"), EMPTY_VERTEX), 2)
+    with pytest.raises(ResourceBound):
+        phi(named_graph("theta"), 100000)
+    assert _phi_cached.cache_info().currsize == 0
+
+
+def test_psi_tables_canonicalize_their_graphs_without_the_labelled_memo():
+    cases = [(phi(g, 4), P(g)) for g, _ in _phi_cases()[::3]]
+    memo.clear(memo.SUITE)
+    before = graphs_module._canonical.cache_info().currsize
+    assert [psi(t) for t, _ in cases] == [p for _, p in cases]
+    assert graphs_module._canonical.cache_info().currsize == before
+
+
+def test_phi_poly_reads_each_term_by_its_written_key():
+    a, b = named_graph("loop1"), named_graph("twoleg")
+    p = P(disjoint_union(a, b)) + P(a).scale(3)
+    want = phi(disjoint_union(b, a), 3) + phi(a, 3).scale(3)
+    memo.clear(memo.SUITE)
+    before = graphs_module._canonical.cache_info().currsize
+    assert phi_poly(p, 3) == want
+    assert graphs_module._canonical.cache_info().currsize == before
 
 
 # ---------------------------------------------------------------------------
