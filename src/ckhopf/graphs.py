@@ -275,8 +275,16 @@ def relabel(g: HalfEdgeGraph, mapping: dict[int, int]) -> HalfEdgeGraph:
 # ``_class_of`` without building a labelled graph (only
 # ``insertion.insert_at`` builds labelled grafts), and the coproduct's
 # extracted and contracted pieces, the graphs grown by ``_augment``, the
-# disjoint union behind ``written_key`` and the chord-diagram graph of each
-# block multigraph in ``psi``'s tables go through ``_class_of_graph``.
+# disjoint union behind ``written_key``, the chord-diagram graph of each
+# block multigraph in ``psi``'s tables and the oracles suite's relabelled
+# and brute-force graphs go through ``_class_of_graph``.
+#
+# Parsing a key follows the same rule.  ``_graph_of_key`` parses one with no
+# memo entry, and ``graph_from_key`` is the memo over it, for the graphs that
+# callers hold, as ``_canonical`` is over ``_class_of_graph``.  A reader that
+# needs a key's graph once parses it through ``_graph_of_key``: the insertion
+# layer's graft data and the grade law's counterexample.  ``poly.grade_of``
+# reads a grade from the key text and builds no graph at all.
 
 
 def _multigraph(g: HalfEdgeGraph):
@@ -642,10 +650,15 @@ def _union_key(key: tuple[bytes, ...]) -> bytes:
     return _class_of_graph(reduce(disjoint_union, map(graph_from_key, key), EMPTY_GRAPH))[0]
 
 
-@memo.cache(memo.PROCESS)
-def graph_from_key(key: bytes) -> HalfEdgeGraph:
+def _graph_of_key(key: bytes) -> HalfEdgeGraph:
     """Keys are self-describing: parse the canonical serialization back."""
     return from_json_dict(json.loads(key.decode("ascii")))
+
+
+@memo.cache(memo.PROCESS)
+def graph_from_key(key: bytes) -> HalfEdgeGraph:
+    """``_graph_of_key``, memoized: for the graphs that callers hold."""
+    return _graph_of_key(key)
 
 
 def automorphism_count(g: HalfEdgeGraph) -> int:

@@ -13,24 +13,27 @@ together, and canonicalizes each distinct multigraph once through
 
 A graft reads, per basis key, the vertex multigraph (built part by part, so
 no disjoint union is written out), the internal vertices by valency, the leg
-count and each leg's neighbour, memoized once per key.  ``insertion_product``
-skips a pair of keys that cannot graft before it reaches the pair memo, so
-that memo keeps only pairs that graft, each as (monomial key, bijection
-count) pairs in integers.  It sums those counts times the pair's coefficient
-product in one dict and turns each nonzero sum into a ``Fraction`` once.
+count and each leg's neighbour, memoized once per key.  Each part is parsed
+from its key for that and dropped, so no graph of a product term stays in
+``graphs.graph_from_key``'s memo.  ``insertion_product`` skips a pair of keys
+that cannot graft before it reaches the pair memo, so that memo keeps only
+pairs that graft, each as one flat tuple of monomial keys, each followed by
+its bijection count in integers.  It sums those counts times the pair's
+coefficient product in one dict and turns each nonzero sum into a
+``Fraction`` once.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations
+from itertools import chain, permutations
 from typing import NamedTuple, Sequence
 
 from . import memo
 from .errors import NotInternalVertex, ValencyMismatch
-from .graphs import HalfEdgeGraph, _class_of, _multigraph
-from .poly import GraphPoly, Key, graph_from_key
+from .graphs import HalfEdgeGraph, _class_of, _graph_of_key, _multigraph
+from .poly import GraphPoly, Key
 
 
 def insert_at(
@@ -100,13 +103,15 @@ class _Graftable(NamedTuple):
 @memo.cache(memo.SUITE)
 def _graft_data(key: Key) -> _Graftable:
     """The vertex multigraph of a basis key, its parts side by side, so that
-    no disjoint union is built or canonicalized, and what a graft reads of it."""
+    no disjoint union is built or canonicalized, and what a graft reads of it.
+    Each part is parsed for this and dropped: this memo is the only one that
+    keeps what a graft reads of a key."""
     ext: tuple[int, ...] = ()
     loops: tuple[int, ...] = ()
     mult: list[list[int]] = []
     n_empty = 0
     for part in key:
-        g = graph_from_key(part)
+        g = _graph_of_key(part)
         _, ext_p, loops_p, mult_p = _multigraph(g)
         ext, loops, mult = ext + tuple(ext_p), loops + tuple(loops_p), _block_sum(mult, mult_p)
         n_empty += g.n_empty
@@ -128,9 +133,10 @@ def _fits(host: _Graftable, legs: int | None) -> bool:
 
 
 @memo.cache(memo.SUITE)
-def _insertion_basis(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
+def _insertion_basis(k1: Key, k2: Key) -> tuple[Key | int, ...]:
     """g1 o g2 on two basis keys, grafted on vertex multigraphs: the monomial
-    key of each graft with the number of bijections that give it."""
+    key of each graft followed by the number of bijections that give it, the
+    pairs flattened into one tuple."""
     h, g = _graft_data(k1), _graft_data(k2)
     e = g.legs
     if not _fits(h, e):
@@ -141,7 +147,7 @@ def _insertion_basis(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
         # each empty vertex of g1 receives g2: the union, one empty vertex used up
         mult = _block_sum(h.mult, g.mult)
         graft = _class_of(V1 + V2, h.ext + g.ext, h.loops + g.loops, mult, n_empty - 1)
-        return ((graft[2], h.n_empty),)
+        return (graft[2], h.n_empty)
     inner = [w for w in range(V2) if not g.ext[w]]
     # a graft keeps g1's vertices but the site, then adds g2's internal vertices
     V = V1 - 1 + len(inner)
@@ -176,7 +182,7 @@ def _insertion_basis(k1: Key, k2: Key) -> tuple[tuple[Key, int], ...]:
                     g_mult[a][b] += 1
                     g_mult[b][a] += 1
             out[_class_of(V, ext, g_loops, g_mult, n_empty)[2]] += m
-    return tuple(out.items())
+    return tuple(chain.from_iterable(out.items()))
 
 
 def insertion_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
@@ -197,7 +203,8 @@ def insertion_product(a: GraphPoly, b: GraphPoly) -> GraphPoly:
             c = c1 * c2
             if c.denominator == 1:
                 c = c.numerator
-            for key, m in _insertion_basis(k1, k2):
+            flat = iter(_insertion_basis(k1, k2))
+            for key, m in zip(flat, flat):
                 y = get(key)
                 out[key] = c * m if y is None else y + c * m
     return GraphPoly._from_normal({key: Fraction(x) for key, x in out.items() if x})

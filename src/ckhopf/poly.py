@@ -8,9 +8,11 @@ only place a disconnected graph is canonicalized as one graph.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Iterator
 
+from . import memo
 from .graphs import (
     GradeTriple,
     HalfEdgeGraph,
@@ -25,9 +27,22 @@ Key = tuple[bytes, ...]
 EMPTY_KEY: Key = ()
 
 
+@memo.cache(memo.PROCESS)
+def _part_grade(part: bytes) -> GradeTriple:
+    """The grade of the graph of a canonical key, read from the key text,
+    so no graph is built or kept: its edges, those with neither end at an
+    external vertex, and its external vertices."""
+    doc = json.loads(part)
+    vertices, external = doc["vertices"], doc["external"]
+    ext = {vertices[i][0] for i in external}
+    internal = sum(a not in ext and b not in ext for a, b in doc["edges"])
+    return GradeTriple(len(doc["edges"]), internal, len(external))
+
+
 def grade_of(key: Key) -> GradeTriple:
-    """The grade of a monomial: the sum of the grades of its parts."""
-    return sum((graph_from_key(part).grade() for part in key), GradeTriple(0, 0, 0))
+    """The grade of a monomial: the sum of the grades of its parts, each read
+    from its key by ``_part_grade``."""
+    return sum(map(_part_grade, key), GradeTriple(0, 0, 0))
 
 
 class GraphPoly(SparseVector):

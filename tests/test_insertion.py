@@ -217,8 +217,11 @@ def _graft_cases():
 
 
 def _basis(g1, g2):
-    pairs = _insertion_basis(monomial_key(g1), monomial_key(g2))
-    assert all(type(m) is int and m > 0 for _, m in pairs)
+    # the (monomial key, count) pairs come flattened into one tuple
+    flat = _insertion_basis(monomial_key(g1), monomial_key(g2))
+    pairs = list(zip(flat[::2], flat[1::2]))
+    assert len(flat) == 2 * len(pairs)
+    assert all(type(key) is tuple and type(m) is int and m > 0 for key, m in pairs)
     return GraphPoly({key: Fraction(m) for key, m in pairs})
 
 

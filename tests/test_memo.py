@@ -25,6 +25,7 @@ LIFETIMES = {
         "graphs._code_tail",
         "graphs._union_key",
         "graphs.graph_from_key",
+        "poly._part_grade",
     },
     memo.SUITE: {
         "chords.enumerate_chords",
@@ -53,7 +54,7 @@ def _registered() -> set[int]:
 def test_each_memo_has_its_lifetime():
     for lifetime, names in LIFETIMES.items():
         assert set(memo.sizes(lifetime)) == names, lifetime
-    assert len(memo.sizes()) == 20
+    assert len(memo.sizes()) == 21
 
 
 def test_every_lru_cache_in_the_package_is_registered():
@@ -63,7 +64,7 @@ def test_every_lru_cache_in_the_package_is_registered():
         for attr, val in vars(mod).items()
         if callable(getattr(val, "cache_info", None)) and getattr(val, "__module__", None) == mod.__name__
     }
-    assert len(caches) == 17
+    assert len(caches) == 18
     registered = _registered()
     assert not [name for name, val in caches.items() if id(val) not in registered]
 

@@ -4,7 +4,15 @@ import pytest
 
 from ckhopf.chords import RawTensor
 from ckhopf.errors import DimensionMismatch
-from ckhopf.poly import GraphPoly, GraphTensorPoly
+from ckhopf.graphs import (
+    EMPTY_VERTEX,
+    GradeTriple,
+    enumerate_graphs,
+    free_propagator,
+    graph_from_key,
+    monomial_key,
+)
+from ckhopf.poly import GraphPoly, GraphTensorPoly, grade_of
 from ckhopf.tensors import InvariantTensor, PairTensor
 from ckhopf.vector import SparseVector, linear_combination, sym
 
@@ -116,3 +124,14 @@ def test_sym_multiplies_factorials_of_multiplicities():
     assert sym((1, 2, 3)) == 1
     assert sym((1, 1, 2, 1, 2)) == 3 * 2 * 2
     assert sym((b"a", b"a")) == 2
+
+
+def test_grade_of_reads_the_grade_of_each_part_from_its_key():
+    graphs = [g for n in range(6) for g in enumerate_graphs(n, "all")]
+    graphs += [free_propagator(), EMPTY_VERTEX]
+    for g in graphs:
+        key = monomial_key(g)
+        parsed = sum((graph_from_key(part).grade() for part in key), GradeTriple(0, 0, 0))
+        assert grade_of(key) == parsed == g.grade(), g
+    assert grade_of(monomial_key(free_propagator())) == (1, 0, 2)
+    assert grade_of(monomial_key(EMPTY_VERTEX)) == (0, 0, 0)

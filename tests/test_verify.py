@@ -5,11 +5,11 @@ from functools import lru_cache
 
 import pytest
 
-from ckhopf import hopf, insertion, memo, verify
+from ckhopf import graphs, hopf, insertion, memo, verify
 from ckhopf.cli import main
 from ckhopf.corpus import connected_corpus
 from ckhopf.errors import InvalidInput, ResourceBound
-from ckhopf.graphs import graph, to_json_dict
+from ckhopf.graphs import canonical_key, enumerate_graphs, graph, to_json_dict
 from ckhopf.poly import GraphPoly, grade_of, product
 from ckhopf.serialize import dumps
 from ckhopf.tensors import phi
@@ -144,6 +144,54 @@ def test_main_theorem_passes_on_the_empty_window():
 def test_negative_window_is_invalid_input(param):
     with pytest.raises(InvalidInput, match=param):
         run_suite("all", **{param: -1})
+
+
+@pytest.mark.parametrize("name", ["hopf", "all"])
+@pytest.mark.parametrize("window", [{"max_edges": 7}, {"dim": 9}], ids=["max_edges", "dim"])
+def test_a_window_past_desk_scale_raises_before_any_suite_runs(monkeypatch, name, window):
+    ran = []
+    for suite in list(verify._SUITES):
+        monkeypatch.setitem(verify._SUITES, suite, lambda report, _suite=suite, **_: ran.append(_suite))
+    with pytest.raises(ResourceBound, match="desk scale"):
+        run_suite(name, **window)
+    assert not ran
+
+
+@pytest.mark.parametrize("flag", [["--max-edges", "7"], ["--dim", "9"]])
+def test_verify_past_desk_scale_exits_2_with_one_error_line(capsys, flag):
+    assert main(["verify", *flag]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: suites are desk scale: max_edges <= 6, dim <= 8"]
+
+
+def test_the_largest_dim_passes_on_the_empty_window():
+    assert run_suite("all", max_edges=0, dim=8).passed
+
+
+@pytest.mark.parametrize("name", ["prelie", "grading"])
+def test_suites_keep_no_graph_of_a_key_they_read(name):
+    # grades and graft data are read from keys, so once the window's classes
+    # are enumerated no suite parses a product term into the graph memo
+    memo.clear()
+    verify._all_classes(3)
+    connected_corpus(3)
+    enumerate_graphs(4, "connected_plus")  # prelie's seeded 4-edge pool
+    before = graphs.graph_from_key.cache_info().currsize
+    assert run_suite(name, 3).passed
+    assert graphs.graph_from_key.cache_info().currsize == before
+
+
+def test_oracles_add_no_canonical_entry_beyond_the_class_representatives():
+    # the seeded relabellings and the brute-force graphs are canonicalized
+    # without a memo entry; only the window's classes keep theirs
+    memo.clear()
+    assert run_suite("oracles", 3).passed
+    classes = verify._all_classes(3)
+    assert graphs._canonical.cache_info().currsize == len(classes)
+    for g in classes:
+        canonical_key(g)
+    assert graphs._canonical.cache_info().currsize == len(classes)
 
 
 def test_exhaustive_right_symmetry_reaches_the_diagonal(monkeypatch):
